@@ -410,13 +410,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+        i = argv.index("--config")
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            parser.exit(2, "incseg: error: --config needs a file path\n")
         ns, _ = parser.parse_known_args(argv)
         sub = next(a for a in parser._subparsers._group_actions
                    if isinstance(a, argparse._SubParsersAction))
         sp = sub.choices[ns.command]
         known = {a.dest for a in sp._actions}
-        cfg = {k: v for k, v in _read_config(cfg_path).items() if k in known}
+        cfg = {k: v for k, v in _read_config(ns.config).items() if k in known}
         for a in sp._actions:
             if a.dest in cfg and a.type is not None:
                 cfg[a.dest] = a.type(cfg[a.dest])

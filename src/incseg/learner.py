@@ -5,24 +5,26 @@ compression would cause to
 
     nll(unigram ML) + sign * (types/2) * ln N + penalty
 
-and applies the minimizer while it is negative.  The change decomposes into
-a candidate-local part (component counts, occurrence count, lengths) and a
-global part that depends only on the current token total M.  The global
-part grows as M shrinks, so a heap entry scored at an older, larger M is a
-valid lower bound for the candidate's current score: popping entries,
-re-scoring them at the current M, and re-inserting until the top is exact
-yields the true minimizer without rescoring the whole candidate table.
+and applies the minimizer while it is negative.  Live candidates sit in a
+columnar table (component ids and multiplicities, length, occurrence count,
+beta length term), kept in step with the candidate index's dirty sets.
+One vectorized function scores the whole table each iteration, with
+``x ln x`` read from a table built by the scalar formula's own expression,
+so every score is the same float whichever path asks for it and exact ties
+fall to the largest count, then the first position.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum, log
+from operator import mul
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .corpus import GoldSegmentation, RawCorpus
 from .lexmodel import (CandidateIndex, Lexicon, TokenSequence, TokenTuple,
@@ -138,7 +140,14 @@ def penalized_likelihood(seq: TokenSequence, params: PenaltyParams,
 
 
 class LearnerState:
-    """One in-progress compression run: sequence, lexicon, scores, heap."""
+    """One in-progress compression run: sequence, lexicon, candidate table.
+
+    Every live candidate owns a row of numpy columns: its distinct
+    component ids with their multiplicities (padded to ``n_max`` slots),
+    its length, its occurrence count ``m`` (0 marks a free row) and its
+    beta length term, which never changes once the row exists.  Rows
+    follow the index's dirty sets; dead candidates' rows are reused.
+    """
 
     def __init__(self, seq: TokenSequence, lex: Lexicon,
                  params: PenaltyParams,
@@ -153,163 +162,141 @@ class LearnerState:
         self._ln_n = log(seq.n_chars)
         self._sign = self.options.complexity_sign
         self._g = length_cost(params.kind)
-        self._glen = [self._g(x) for x in seq.lengths]
         self.objective = penalized_likelihood(seq, params, self._sign)
-        self._heap: list[tuple[float, int, int, TokenTuple]] = []
-        self._version: dict[TokenTuple, int] = {}
-        self._local: dict[TokenTuple, float] = {}
-        self._entry_key: dict[TokenTuple, tuple[float, int]] = {}
-        self._vnext = 0
-        _, fresh = self.index.consume_dirty()
-        self._rescore(fresh)
+        # x ln x (0 at 0) for every count, total and m the run can reach,
+        # computed as the scalar formula computes it
+        xs = range(1, seq.n_chars + 1)
+        self._xlx = np.fromiter(chain((0.0,), map(mul, xs, map(log, xs))),
+                                np.float64, seq.n_chars + 1)
+        self._row: dict[TokenTuple, int] = {}
+        self._tuples: list[TokenTuple | None] = []
+        self._free: list[int] = []
+        self._ids = np.zeros((self.options.n_max, 0), np.int64)
+        self._mult = np.zeros((self.options.n_max, 0), np.int64)
+        self._n = np.zeros(0, np.int64)
+        self._m = np.zeros(0, np.int64)
+        self._gl = np.zeros(0, np.float64)
+        self._sync(*self.index.consume_dirty())
+
+    # -- candidate table -----------------------------------------------
+
+    def _new_row(self) -> int:
+        if self._free:
+            return self._free.pop()
+        r = len(self._tuples)
+        self._tuples.append(None)
+        if r == len(self._m):  # full: double every column, zero-filled
+            for name in ("_ids", "_mult", "_n", "_m", "_gl"):
+                col = getattr(self, name)
+                grow = [(0, 0)] * (col.ndim - 1) + [(0, max(1024, r))]
+                setattr(self, name, np.pad(col, grow))
+        return r
+
+    def _sync(self, dead: Sequence[TokenTuple],
+              changed: Sequence[TokenTuple]) -> None:
+        """Free dead candidates' rows; add or refresh rows whose m changed."""
+        row_of = self._row
+        tuples = self._tuples
+        freed = [row_of.pop(t) for t in dead]
+        for r in freed:
+            tuples[r] = None
+        self._m[freed] = 0
+        self._free.extend(freed)
+        index_m = self.index.m
+        lengths = self.seq.lengths
+        g = self._g
+        slots = self.options.n_max
+        rows, ms = [], []
+        born, ids, mult, ns, gls = [], [], [], [], []
+        for t in changed:
+            r = row_of.get(t)
+            if r is None:
+                r = self._new_row()
+                row_of[t] = r
+                tuples[r] = t
+                comp: dict[int, int] = {}
+                whole = 0
+                parts = 0.0
+                for w in t:
+                    comp[w] = comp.get(w, 0) + 1
+                    whole += lengths[w]
+                    parts += g(lengths[w])
+                pad = [0] * (slots - len(comp))
+                born.append(r)
+                ids.append([*comp, *pad])
+                mult.append([*comp.values(), *pad])
+                ns.append(len(t))
+                gls.append(g(whole) - parts)
+            rows.append(r)
+            ms.append(index_m[t])
+        if born:
+            self._ids[:, born] = np.array(ids).T
+            self._mult[:, born] = np.array(mult).T
+            self._n[born] = ns
+            self._gl[born] = gls
+        self._m[rows] = ms
 
     # -- scoring -------------------------------------------------------
 
-    def _phi(self, m: int, n: int, total: int) -> float:
-        after = total - m * (n - 1)
-        drop = after * log(after) if after > 0 else 0.0
-        return drop - total * log(total)
+    def _scores(self, rows: slice | list[int]) -> np.ndarray:
+        """Exact objective change of compressing each row's candidate now.
 
-    def _local_term(self, t: TokenTuple, m: int) -> float:
-        counts = self.seq.counts
-        if len(t) == 2:
-            a, b = t
-            comp = ((a, 2),) if a == b else ((a, 1), (b, 1))
-        else:
-            comp = tuple(Counter(t).items())
+        The one scoring formula: every term is the scalar computation's,
+        added in the same order, and ``x ln x`` comes from one table, so a
+        row's score does not depend on which other rows are scored with it.
+        Free rows score inf.
+        """
+        xlx = self._xlx
+        counts = np.array(self.seq.counts, np.int64)
+        m = self._m[rows]
+        n = self._n[rows]
         acc = 0.0
-        d_types = 1
-        for w, r in comp:
-            c = counts[w]
-            c2 = c - m * r
-            acc += (c2 * log(c2) if c2 > 0 else 0.0) - c * log(c)
-            if c2 == 0:
-                d_types -= 1
-        out = -acc - m * log(m) + self._sign * 0.5 * d_types * self._ln_n
+        lost = 0                        # components whose count drops to 0
+        for ids, mult in zip(self._ids[:, rows], self._mult[:, rows]):
+            c = counts[ids]
+            c2 = c - m * mult
+            acc = acc + (xlx[c2] - xlx[c])
+            lost = lost + ((c2 == 0) & (mult > 0))
+        out = -acc - xlx[m] + self._sign * 0.5 * (1 - lost) * self._ln_n
         p = self.params
         if p.alpha:
-            out += p.alpha * m * (len(t) - 1)
+            out += p.alpha * m * (n - 1)
         if p.beta:
-            glen = self._glen
-            lengths = self.seq.lengths
-            whole = 0
-            parts = 0.0
-            for w in t:
-                whole += lengths[w]
-                parts += glen[w]
-            out += p.beta * m * (self._g(whole) - parts)
-        return out
-
-    def _rescore(self, tuples) -> None:
-        """Refresh local terms; re-insert only candidates whose key dropped.
-
-        An untouched heap entry scored at an older state is kept whenever the
-        candidate's key did not decrease: the global term only grows as the
-        sequence shrinks, so the old entry stays a valid lower bound and the
-        pop loop re-verifies it against current counts anyway.
-        """
-        index_m = self.index.m
+            out += p.beta * m * self._gl[rows]
         total = self.seq.total
-        local = self._local
-        version = self._version
-        entry_key = self._entry_key
-        heap = self._heap
-        local_term = self._local_term
-        base = -total * log(total)
-        for t in tuples:
-            m = index_m[t]
-            a = local_term(t, m)
-            local[t] = a
-            after = total - m * (len(t) - 1)
-            d = a + base + (after * log(after) if after > 0 else 0.0)
-            key = (d, -m)
-            old = entry_key.get(t)
-            if old is not None and old <= key:
-                continue
-            v = self._vnext
-            self._vnext = v + 1
-            version[t] = v
-            entry_key[t] = key
-            heapq.heappush(heap, (d, -m, v, t))
-        if len(heap) > 32768 and len(heap) > 6 * len(version):
-            self._compact()
-
-    def _compact(self) -> None:
-        index_m = self.index.m
-        total = self.seq.total
-        local = self._local
-        entry_key = self._entry_key
-        base = -total * log(total)
-        heap = []
-        for t, v in self._version.items():
-            m = index_m[t]
-            after = total - m * (len(t) - 1)
-            d = local[t] + base + (after * log(after) if after > 0 else 0.0)
-            entry_key[t] = (d, -m)
-            heap.append((d, -m, v, t))
-        heapq.heapify(heap)
-        self._heap = heap
+        out += xlx[total - m * (n - 1)] - xlx[total]
+        return np.where(m > 0, out, np.inf)
 
     def _select(self) -> tuple[float, int, TokenTuple] | None:
-        """Exact minimizer of the candidate scores under current counts."""
-        heap = self._heap
-        version = self._version
-        local = self._local
-        index = self.index
-        total = self.seq.total
-        best_key: tuple[float, int] | None = None
-        best: list[TokenTuple] = []
-        pending: list[tuple[float, int, int, TokenTuple]] = []
-        while heap:
-            entry = heap[0]
-            if best_key is not None and (entry[0], entry[1]) > best_key:
-                break
-            heapq.heappop(heap)
-            d_st, negm_st, ver, t = entry
-            if version.get(t) != ver:
-                continue
-            m = index.m[t]
-            d_now = local[t] + self._phi(m, len(t), total)
-            if d_now == d_st:
-                pending.append(entry)
-                key = (d_now, -m)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = [t]
-                elif key == best_key:
-                    best.append(t)
-            else:
-                self._entry_key[t] = (d_now, -m)
-                heapq.heappush(heap, (d_now, -m, ver, t))
-        for entry in pending:
-            heapq.heappush(heap, entry)
-        if best_key is None:
+        """Exact minimizer: lowest score, then largest m, then the lowest
+        (first position, tuple)."""
+        scores = self._scores(slice(0, len(self._tuples)))
+        best = scores.min(initial=np.inf)
+        if best == np.inf:
             return None
-        if len(best) > 1:
-            best.sort(key=lambda u: (index.first_position(u), u))
-        return best_key[0], -best_key[1], best[0]
+        tied = np.flatnonzero(scores == best)
+        m = self._m[tied]
+        top = m.max()
+        tied = [self._tuples[r] for r in tied[m == top]]
+        t = tied[0] if len(tied) == 1 else min(
+            tied, key=lambda u: (self.index.first_position(u), u))
+        return float(best), int(top), t
 
     def score_candidate(self, s: Sequence[int]) -> float:
         """Exact objective change if ``s`` were compressed now."""
         t = tuple(s)
-        m = self.index.m.get(t)
-        if m is None:
+        r = self._row.get(t)
+        if r is None:
             raise ValueError(f"{t} is not a live candidate")
-        return self._local_term(t, m) + self._phi(m, len(t), self.seq.total)
+        return float(self._scores([r])[0])
 
     # -- stepping ------------------------------------------------------
 
     def _apply(self, t: TokenTuple, delta: float) -> CompressionEvent:
         cd = self.index.apply(t, self.lex)
-        self._glen.append(self._g(self.seq.lengths[cd.fresh_id]))
         self.objective += delta
         self.iteration += 1
-        dead, affected = self.index.consume_dirty()
-        for td in dead:
-            self._version.pop(td, None)
-            self._local.pop(td, None)
-            self._entry_key.pop(td, None)
-        self._rescore(affected)
+        self._sync(*self.index.consume_dirty())
         opts = self.options
         if opts.validate_every and self.iteration % opts.validate_every == 0:
             self.check_objective()

@@ -269,9 +269,7 @@ class CandidateIndex:
 
     For every n-gram (2 <= n <= n_max) present in the sequence, ``positions``
     holds the start positions of its adjacent occurrences and ``m`` its
-    greedy non-overlapping count.  ``containing`` maps a token id to the
-    tuples it participates in, so the learner can rescore everything whose
-    component counts changed.  Mutations go through ``apply``, which
+    greedy non-overlapping count.  Mutations go through ``apply``, which
     deregisters the n-grams overlapping each substitution site, merges the
     site, and re-registers the n-grams of the new neighborhood.
     """
@@ -283,9 +281,7 @@ class CandidateIndex:
         self.n_max = n_max
         self.positions: dict[TokenTuple, set[int]] = {}
         self.m: dict[TokenTuple, int] = {}
-        self.containing: dict[int, set[TokenTuple]] = {}
         self.pos_dirty: set[TokenTuple] = set()
-        self.count_dirty: set[int] = set()
         for start in seq.block_starts:
             for p in seq.iter_positions(start):
                 self._register_at(p)
@@ -307,8 +303,6 @@ class CandidateIndex:
             if posset is None:
                 posset = set()
                 self.positions[key] = posset
-                for w in set(key):
-                    self.containing.setdefault(w, set()).add(key)
             posset.add(p)
             self.pos_dirty.add(key)
 
@@ -401,42 +395,28 @@ class CandidateIndex:
             for s0 in lctx:
                 self._register_at(s0)
             self._register_at(p1)
-        self.count_dirty.update(set(t))
-        self.count_dirty.add(fresh)
         changes = {w: (old_counts[w], seq.counts[w]) for w in set(t)}
         changes[fresh] = (0, len(sites))
         return CompressionDelta(fresh, t, len(sites), changes, old_total,
                                 seq.total)
 
-    def consume_dirty(self) -> tuple[list[TokenTuple], set[TokenTuple]]:
-        """Flush dirt accumulated by ``apply``.
-
-        Returns (dead tuples, tuples needing rescoring).  Greedy counts of
-        position-dirty tuples are refreshed here; tuples whose component
-        counts changed keep their counts but still need rescoring.
-        """
+    def consume_dirty(self) -> tuple[list[TokenTuple], list[TokenTuple]]:
+        """Flush the n-grams whose positions ``apply`` touched: returns
+        (tuples that died since the last flush, live tuples whose greedy
+        count was refreshed)."""
         pos_d = self.pos_dirty
-        cnt_d = self.count_dirty
         self.pos_dirty = set()
-        self.count_dirty = set()
         dead: list[TokenTuple] = []
+        changed: list[TokenTuple] = []
         for t in pos_d:
-            if not self.positions[t]:
-                dead.append(t)
+            if self.positions[t]:
+                self.m[t] = self.greedy_count(t)
+                changed.append(t)
+            else:
                 del self.positions[t]
-                self.m.pop(t, None)
-                for w in set(t):
-                    s = self.containing.get(w)
-                    if s:
-                        s.discard(t)
-        for t in dead:
-            pos_d.discard(t)
-        for t in pos_d:
-            self.m[t] = self.greedy_count(t)
-        affected = set(pos_d)
-        for w in cnt_d:
-            affected.update(self.containing.get(w, ()))
-        return dead, affected
+                if self.m.pop(t, None) is not None:  # else born and died
+                    dead.append(t)
+        return dead, changed
 
 
 def verify_sequence(seq: TokenSequence, lex: Lexicon,

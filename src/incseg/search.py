@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -91,7 +93,14 @@ def save_boundaries(boundaries: Iterable[int], directory: Path) -> tuple[str, st
     rel = f"{digest[:24]}.npy"
     fp = directory / rel
     if not fp.exists():
-        np.save(fp, deltas)
+        # write aside, then rename: no partial file under the final name
+        tmp = directory / f".{rel}.{os.getpid()}.tmp"
+        try:
+            with tmp.open("wb") as fh:
+                np.save(fh, deltas)
+            os.replace(tmp, fp)
+        finally:
+            tmp.unlink(missing_ok=True)
     return digest, rel
 
 
@@ -132,8 +141,12 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
             **{**asdict(options), "trace_mode": "criteria"})
     result = _learner.run(corpus, params, opts, gold=gold)
     bounds = result.hypothesis.boundaries
-    crit = {cid: cv.value
-            for cid, cv in _criteria.evaluate_boundaries(corpus, bounds).items()}
+    last = result.trace[-1] if result.trace else None
+    if last and last.criteria and last.iteration == result.iterations:
+        crit = last.criteria  # the final snapshot scored these boundaries
+    else:
+        crit = {cid: cv.value for cid, cv in
+                _criteria.evaluate_boundaries(corpus, bounds).items()}
     metrics = None
     if gold is not None:
         metrics = _metrics.evaluate_segmentation(corpus, gold, bounds).as_dict()
@@ -162,15 +175,25 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
 
 
 def load_ledger(out_dir: Path) -> list[RunRecord]:
+    """Records of ``runs.jsonl``.  A last line without its newline is what
+    a crash mid-append leaves: it is dropped with a warning and truncated
+    away.  A bad line anywhere else is an error naming file and line."""
     path = Path(out_dir) / "runs.jsonl"
-    records: list[RunRecord] = []
     if not path.exists():
-        return records
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        return []
+    lines = path.read_bytes().splitlines(keepends=True)
+    if lines and not lines[-1].endswith(b"\n"):
+        warnings.warn(f"{path}: dropping torn last line", RuntimeWarning)
+        lines.pop()
+        with path.open("r+b") as fh:
+            fh.truncate(sum(map(len, lines)))
+    records = []
+    for i, line in enumerate(lines, 1):
+        try:
+            if line.strip():
                 records.append(RunRecord(**json.loads(line)))
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"{path}:{i}: bad ledger line: {e}") from None
     return records
 
 
@@ -184,8 +207,9 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
     out.mkdir(parents=True, exist_ok=True)
     options = options or LearnerOptions()
     done: dict[tuple[str, float, float], RunRecord] = {}
+    existing = load_ledger(out)  # also cuts a torn tail before appending
     if resume:
-        for rec in load_ledger(out):
+        for rec in existing:
             if rec.stage is None:
                 done[rec.key()] = rec
     todo = [c for c in spec.cells() if c not in done]

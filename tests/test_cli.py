@@ -66,6 +66,14 @@ def test_unknown_flag_exits_2(corpus_file):
     assert exc.value.code == 2
 
 
+def test_bare_trailing_config_exits_2(corpus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["segment", str(corpus_file), "--config"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["incseg: error: --config needs a file path"]
+
+
 def test_grid_select_ensemble_eval_pipeline(corpus_file, tmp_path, capsys):
     grid_dir = tmp_path / "grid"
     rc = main(["grid", str(corpus_file), "--alpha", "0:0.4:0.4",

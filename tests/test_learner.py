@@ -1,12 +1,16 @@
 """Learner scoring, stepping, stopping, and determinism."""
 
+import importlib.util
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incseg.corpus import load_gold
 from incseg.learner import (LearnerOptions, PenaltyParams, init_state,
                             length_cost, penalized_likelihood, penalty, run,
                             step)
@@ -330,7 +334,7 @@ def oracle_delta_on_copy(state, t):
 @given(st.integers(0, 10_000))
 @settings(max_examples=12, deadline=None)
 def test_selected_candidate_is_global_minimum(seed):
-    """The heap's pick must match an exhaustive scan at every iteration."""
+    """Each step's pick must match an exhaustive scan at every iteration."""
     from incseg.lexmodel import count_occurrences, ngram_stats
     rng = random.Random(seed)
     text = random_gold_text(rng, rng.randint(40, 160), rng.randint(2, 6),
@@ -357,3 +361,91 @@ def test_selected_candidate_is_global_minimum(seed):
                 assert floor >= -1e-9  # nothing improving was left behind
             break
         assert ev.delta <= floor + 1e-9, (ev.token, ev.delta, floor)
+
+
+def scalar_score(state, t):
+    """Reference loop for one candidate's score, term by term as the
+    vectorized table adds them: local part, then (X(after) - X(total))."""
+    def xlx(x):
+        return x * math.log(x) if x > 0 else 0.0
+    counts, m = state.seq.counts, state.index.m[t]
+    acc = 0.0
+    d_types = 1
+    for w, r in Counter(t).items():
+        c2 = counts[w] - m * r
+        acc += xlx(c2) - xlx(counts[w])
+        if c2 == 0:
+            d_types -= 1
+    out = (-acc - xlx(m)
+           + state.options.complexity_sign * 0.5 * d_types
+           * math.log(state.seq.n_chars))
+    p = state.params
+    if p.alpha:
+        out += p.alpha * m * (len(t) - 1)
+    if p.beta:
+        g = length_cost(p.kind)
+        lengths = state.seq.lengths
+        parts = 0.0
+        for w in t:
+            parts += g(lengths[w])
+        out += p.beta * m * (g(sum(lengths[w] for w in t)) - parts)
+    total = state.seq.total
+    return out + (xlx(total - m * (len(t) - 1)) - xlx(total))
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_step_takes_exact_tie_broken_minimum(seed, n_max):
+    """At every step the applied candidate is the exact minimum of
+    (score, -m, first position, tuple) over all live candidates, and every
+    score equals the scalar reference bit for bit."""
+    rng = random.Random(seed)
+    text = random_gold_text(rng, rng.randint(30, 160), rng.randint(2, 5),
+                            n_types=rng.randint(3, 12))
+    corpus, _ = make_corpus(text)
+    params = PenaltyParams(round(rng.uniform(0, 0.4), 2),
+                           round(rng.uniform(0, 0.4), 2),
+                           rng.choice(("xlogx", "xsquared")))
+    state = init_state(corpus, params, LearnerOptions(n_max=n_max))
+    index = state.index
+    while True:
+        keyed = []
+        for t in index.positions:
+            score = state.score_candidate(t)
+            assert score == scalar_score(state, t), t
+            keyed.append((score, -index.m[t], index.first_position(t), t))
+        best = min(keyed, default=None)
+        ev = step(state)
+        if ev is None:
+            assert best is None or best[0] >= 0
+            break
+        assert (ev.delta, -ev.occurrences, ev.token) == (
+            best[0], best[1], best[3])
+
+
+def test_exact_tie_on_benchmark_corpus_goes_to_first_position(tmp_path):
+    """Merge 461 on the 78k benchmark corpus (n_max=2, alpha=beta=0) is an
+    exact tie between two m=1 candidates.  The lazy heap this learner once
+    used held the earlier candidate under a stale key 1.1e-11 too high and
+    applied the later one."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / \
+        "benchmark_synthetic.py"
+    spec = importlib.util.spec_from_file_location("benchmark_synthetic", path)
+    synthetic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synthetic)
+    synthetic.build_corpus(tmp_path / "c.txt", 4000, 400, 99)
+    corpus, _ = load_gold(tmp_path / "c.txt", "brent")
+    state = init_state(corpus, PenaltyParams(), LearnerOptions(n_max=2))
+    for _ in range(460):
+        step(state)
+    lex = state.lex
+    live = {"".join(lex.surface(w) for w in t): t
+            for t in state.index.positions}
+    early, late = live["yutitizewadawasukigoki"], live["kidasu6yuti"]
+    for t, first in ((early, 25482), (late, 34639)):
+        assert state.score_candidate(t) == -2.260745752730145
+        assert state.index.m[t] == 1
+        assert state.index.first_position(t) == first
+    ev = step(state)
+    assert ev.iteration == 461 and ev.token == early
+    assert lex.surface(ev.fresh_id) == "yutitizewadawasukigoki"

@@ -72,6 +72,54 @@ def test_grid_resume_skips_done(toy, tmp_path):
     assert len(load_ledger(out)) == 6
 
 
+def test_resume_after_torn_ledger_line(toy, tmp_path):
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    first = run_grid(corpus, gold, small_grid_spec(), out)
+    ledger = out / "runs.jsonl"
+    before = ledger.read_bytes()
+    # a crash in the middle of an append: half a line, no newline
+    with ledger.open("ab") as fh:
+        fh.write(before.splitlines(keepends=True)[0][:40])
+    with pytest.warns(RuntimeWarning, match="runs.jsonl"):
+        resumed = run_grid(corpus, gold, small_grid_spec(), out)
+    assert [r.key() for r in resumed] == [r.key() for r in first]
+    assert ledger.read_bytes() == before  # torn tail cut, no cell re-run
+
+
+def test_bad_ledger_line_names_file_and_line(toy, tmp_path):
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    run_grid(corpus, gold, small_grid_spec(), out)
+    ledger = out / "runs.jsonl"
+    lines = ledger.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:30] + "\n"
+    ledger.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"runs\.jsonl:2: bad ledger line"):
+        load_ledger(out)
+
+
+def test_traced_cell_scores_final_boundaries_once(toy, tmp_path,
+                                                   monkeypatch):
+    import incseg.criteria as criteria_mod
+    corpus, gold = toy
+    calls = []
+    real = criteria_mod.evaluate_boundaries
+
+    def counted(corpus_, bounds, *args):
+        calls.append(frozenset(bounds))
+        return real(corpus_, bounds, *args)
+
+    monkeypatch.setattr(criteria_mod, "evaluate_boundaries", counted)
+    spec = GridSpec((0.0,), (0.0,), ("xlogx",))
+    rec, = run_grid(corpus, gold, spec, tmp_path / "g", trace=True)
+    rows = (tmp_path / "g" / rec.trace_file).read_text().splitlines()
+    assert len(calls) == len(rows)  # one per snapshot, none more
+    bounds = load_boundaries(tmp_path / "g" / rec.boundary_file)
+    assert rec.criteria == {cid: cv.value
+                            for cid, cv in real(corpus, bounds).items()}
+
+
 def test_grid_parallel_matches_serial(toy, tmp_path):
     corpus, gold = toy
     serial = run_grid(corpus, gold, small_grid_spec(), tmp_path / "s")
@@ -191,6 +239,22 @@ def test_boundary_file_roundtrip(tmp_path):
     assert load_boundaries(tmp_path / rel) == frozenset(bounds)
     digest2, rel2 = save_boundaries(bounds, tmp_path)
     assert digest == digest2 and rel == rel2
+
+
+def test_boundary_file_never_left_half_written(tmp_path, monkeypatch):
+    import numpy as np
+
+    def crash(fh, arr):
+        fh.write(b"\x93NUMPY")
+        raise OSError("disk full")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "save", crash)
+        with pytest.raises(OSError):
+            save_boundaries({3, 10}, tmp_path)
+    assert list(tmp_path.iterdir()) == []  # no final name, no leftover
+    digest, rel = save_boundaries({3, 10}, tmp_path)
+    assert load_boundaries(tmp_path / rel) == frozenset({3, 10})
 
 
 def test_ledger_roundtrip(toy, tmp_path):
