@@ -9,8 +9,7 @@ from .criteria import CRITERIA, CriterionValue, SegmentedText
 from .ensemble import majority_vote
 from .learner import (LearnerOptions, PenaltyParams, RunResult,
                       SegmentationHypothesis, run, step)
-from .lexmodel import (Lexicon, TokenSequence, apply_compression,
-                       count_occurrences, init_from_corpus, ngram_stats)
+from .lexmodel import Lexicon, TokenSequence, init_from_corpus
 from .metrics import evaluate_segmentation, spearman_rho
 from .search import GridSpec, RunRecord, run_grid, select_family_minimum
 
@@ -19,7 +18,6 @@ __all__ = [
     "write_segmentation", "CRITERIA", "CriterionValue", "SegmentedText",
     "majority_vote", "LearnerOptions", "PenaltyParams", "RunResult",
     "SegmentationHypothesis", "run", "step", "Lexicon", "TokenSequence",
-    "apply_compression", "count_occurrences", "init_from_corpus",
-    "ngram_stats", "evaluate_segmentation", "spearman_rho", "GridSpec",
+    "init_from_corpus", "evaluate_segmentation", "spearman_rho", "GridSpec",
     "RunRecord", "run_grid", "select_family_minimum", "__version__",
 ]

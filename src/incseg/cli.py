@@ -1,9 +1,10 @@
 """Command-line interface: segment, search, combine, and evaluate.
 
 Configuration precedence is flags > config file > defaults.  The config
-file is flat ``key = value`` text; keys are long option names with dashes
-or underscores.  Every command that writes outputs drops a JSON manifest
-(flags, corpus digest, tool version) next to them.
+file is flat ``key = value`` text; keys are long option names of the
+chosen command, with dashes or underscores, and each value is checked as
+that flag's value would be.  Every command that writes outputs drops a
+JSON manifest (flags, corpus digest, tool version) next to them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from . import criteria as _criteria
@@ -24,6 +26,15 @@ from .corpus import (CorpusError, RawCorpus, default_punctuation, load_gold,
 from .learner import LearnerOptions, PenaltyParams
 
 _PENALTY_NAMES = {"xlogx": "xlogx", "x2": "xsquared", "xsquared": "xsquared"}
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or config entry on one line and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"incseg: error: {message}\n")
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -44,7 +55,6 @@ def _add_learner_flags(p: argparse.ArgumentParser,
                        help="length penalty kind")
     p.add_argument("--nmax", type=int, default=2,
                    help="longest candidate n-gram (2..4)")
-    p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--stop-at", type=int, default=None,
                    help="force stop after this many iterations")
     p.add_argument("--trace-every", type=int, default=100)
@@ -69,7 +79,6 @@ def _learner_options(ns: argparse.Namespace, trace_mode="light",
                      trace_boundaries=False) -> LearnerOptions:
     return LearnerOptions(
         n_max=ns.nmax,
-        max_iters=ns.max_iters,
         stop_at=ns.stop_at,
         trace_interval=ns.trace_every,
         trace_mode=trace_mode,
@@ -113,16 +122,7 @@ def _cmd_segment(ns: argparse.Namespace) -> int:
     result = _learner.run(corpus, _params(ns), options, gold=gold)
     write_segmentation(result.hypothesis.boundaries, corpus, ns.out)
     if ns.trace_out:
-        with open(ns.trace_out, "w", encoding="utf-8") as fh:
-            for i, tr in enumerate(result.trace):
-                row = {"iteration": tr.iteration, "objective": tr.objective,
-                       "n_tokens": tr.n_tokens, "n_types": tr.n_types,
-                       "n_boundaries": tr.n_boundaries}
-                if tr.boundaries is not None:
-                    snap = Path(ns.trace_out).with_suffix(f".snap{i}.json")
-                    snap.write_text(json.dumps(sorted(tr.boundaries)))
-                    row["boundary_snapshot"] = str(snap)
-                fh.write(json.dumps(row) + "\n")
+        _learner.write_trace(result.trace, ns.trace_out)
     _write_manifest(Path(ns.out), ns, corpus)
     print(f"segmented {corpus.n_chars} chars in {result.iterations} "
           f"iterations ({result.stopped}); objective {result.objective:.3f}")
@@ -133,7 +133,7 @@ def _cmd_dump_lexicon(ns: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(ns)
     result = _learner.run(corpus, _params(ns),
                           _learner_options(ns, trace_mode="none"))
-    seq, lex = result.state.seq, result.state.lex
+    seq, lex = result.hypothesis.seq, result.hypothesis.lexicon
     rows = [{"id": tid, "surface": e.surface,
              "components": list(e.components) if e.components else None,
              "count": seq.counts[tid]}
@@ -305,8 +305,45 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="incseg")
+def _config_defaults(parser: argparse.ArgumentParser, argv: list[str],
+                     ns: argparse.Namespace) -> dict:
+    """The config file's entries, typed and checked as flags of the command.
+
+    Each entry is written as the flag it names (a switch as the bare flag
+    when true, a multi-value flag as separate words) and parsed after the
+    command line, so the file's values win in that parse only.
+    """
+    if not ns.config:
+        parser.error("--config needs a file path")
+    try:
+        cfg = _read_config(ns.config)
+    except (CorpusError, OSError) as e:
+        parser.error(str(e))
+    flags = vars(ns).keys() - {"command", "func", "config"}
+    words: list[str] = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if key not in flags:
+            parser.error(f"{ns.config}: {flag} is not a flag of {ns.command}")
+        current = getattr(ns, key)
+        if isinstance(current, bool):
+            on = _SWITCH_VALUES.get(value.lower())
+            if on is None:
+                parser.error(f"{ns.config}: {flag} must be true or false, "
+                             f"got {value!r}")
+            words += [flag] if on else []
+        elif isinstance(current, list):
+            words += [flag, *value.split()]
+        else:
+            words.append(f"{flag}={value}")
+    typed = parser.parse_args([*argv, *words])
+    return {key: getattr(typed, key) for key in cfg}
+
+
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser, by command name."""
+    top = _Parser(prog="incseg")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -336,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="0:5:0.1", help="lo:hi:step")
     p.add_argument("--penalty", nargs="+", default=["xlogx"],
                    choices=tuple(_PENALTY_NAMES))
-    p.add_argument("--criteria", default="all",
-                   help="criteria to report (always all six internally)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", action="store_true",
@@ -401,31 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_heatmap)
 
     for sp in sub.choices.values():
-        sp.add_argument("--config", default=None,
+        # a bare --config reads as "" and is reported, not taken as a path
+        sp.add_argument("--config", nargs="?", const="", default=None,
                         help="flat key=value defaults file")
-    return top
+    return top, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
-            parser.exit(2, "incseg: error: --config needs a file path\n")
-        ns, _ = parser.parse_known_args(argv)
-        sub = next(a for a in parser._subparsers._group_actions
-                   if isinstance(a, argparse._SubParsersAction))
-        sp = sub.choices[ns.command]
-        known = {a.dest for a in sp._actions}
-        cfg = {k: v for k, v in _read_config(ns.config).items() if k in known}
-        for a in sp._actions:
-            if a.dest in cfg and a.type is not None:
-                cfg[a.dest] = a.type(cfg[a.dest])
-            elif a.dest in cfg and isinstance(a.const, bool):
-                cfg[a.dest] = cfg[a.dest].lower() in ("1", "true", "yes")
-        sp.set_defaults(**cfg)
+    parser, commands = build_parser()
     ns = parser.parse_args(argv)
+    if ns.config is not None:
+        commands[ns.command].set_defaults(
+            **_config_defaults(parser, argv, ns))
+        ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
     except (CorpusError, RuntimeError, ValueError, OSError) as e:

@@ -14,7 +14,7 @@ import json
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class CorpusError(ValueError):
@@ -272,17 +272,3 @@ def write_segmentation(
         path.with_suffix(path.suffix + ".json").write_text(
             json.dumps(meta), encoding="utf-8"
         )
-
-
-def boundaries_from_words(words_per_block: Sequence[Sequence[str]]) -> set[int]:
-    """Boundary set implied by pre-tokenized blocks (testing helper)."""
-    out: set[int] = set()
-    off = 0
-    for block in words_per_block:
-        if off > 0:
-            out.add(off)
-        for w in block[:-1]:
-            off += len(w)
-            out.add(off)
-        off += len(block[-1])
-    return out

@@ -15,7 +15,6 @@ from math import fsum, log
 from typing import Iterable, Sequence
 
 from .corpus import RawCorpus
-from .lexmodel import Lexicon, TokenSequence
 
 CRITERIA = ("aic1", "aic2", "aic3", "mdl1", "mdl2", "mdl3")
 
@@ -76,25 +75,6 @@ class SegmentedText:
                     start = off + j
             off += len(block)
             ids.append(_intern(chars[start:off], interned, surfaces))
-            blocks.append(ids)
-        return cls(blocks, surfaces)
-
-    @classmethod
-    def from_token_sequence(cls, seq: TokenSequence,
-                            lex: Lexicon) -> "SegmentedText":
-        interned: dict[str, int] = {}
-        surfaces: list[str] = []
-        remap: dict[int, int] = {}
-        blocks = []
-        for start in seq.block_starts:
-            ids = []
-            for p in seq.iter_positions(start):
-                tid = seq.tok[p]
-                cid = remap.get(tid)
-                if cid is None:
-                    cid = _intern(lex.surface(tid), interned, surfaces)
-                    remap[tid] = cid
-                ids.append(cid)
             blocks.append(ids)
         return cls(blocks, surfaces)
 

@@ -16,12 +16,14 @@ fall to the largest count, then the first position.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass
 from itertools import chain
 from math import fsum, log
 from operator import mul
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +63,6 @@ def length_cost(kind: str) -> Callable[[int], float]:
 @dataclass(frozen=True)
 class LearnerOptions:
     n_max: int = 2
-    max_iters: int | None = None       # default: one per input character
     stop_at: int | None = None         # forced early stop (lab control)
     trace_interval: int = 100
     trace_mode: str = "light"          # none | light | criteria
@@ -113,11 +114,10 @@ class SegmentationHypothesis:
 class RunResult:
     hypothesis: SegmentationHypothesis
     iterations: int
-    stopped: str                        # converged | stop_at | iteration_cap
+    stopped: str                        # converged | stop_at
     objective: float
     trace: list[TraceRecord]
     wall_time: float
-    state: "LearnerState"
 
 
 def penalty(seq: TokenSequence, params: PenaltyParams) -> float:
@@ -338,19 +338,18 @@ def step(state: LearnerState) -> CompressionEvent | None:
 def run(corpus: RawCorpus, params: PenaltyParams,
         options: LearnerOptions | None = None,
         gold: GoldSegmentation | None = None) -> RunResult:
-    """Loop ``step`` to convergence or an iteration cap, recording a trace."""
+    """Loop ``step`` to convergence or ``stop_at``, recording a trace.
+
+    Every merge removes at least one token and none crosses a block edge,
+    so a run converges within ``n_chars - n_blocks`` iterations.
+    """
     options = options or LearnerOptions()
     t0 = time.perf_counter()
     state = init_state(corpus, params, options)
-    cap = options.max_iters if options.max_iters is not None else corpus.n_chars
-    if options.stop_at is not None:
-        cap = min(cap, options.stop_at)
     stopped = "converged"
     while True:
-        if state.iteration >= cap:
-            stopped = ("stop_at" if options.stop_at is not None
-                       and state.iteration >= options.stop_at else
-                       "iteration_cap")
+        if options.stop_at is not None and state.iteration >= options.stop_at:
+            stopped = "stop_at"
             break
         ev = step(state)
         if ev is None:
@@ -363,7 +362,7 @@ def run(corpus: RawCorpus, params: PenaltyParams,
         state.trace.append(_trace_record(state, corpus, gold))
     hyp = state.hypothesis()
     return RunResult(hyp, state.iteration, stopped, state.objective,
-                     state.trace, time.perf_counter() - t0, state)
+                     state.trace, time.perf_counter() - t0)
 
 
 def _trace_record(state: LearnerState, corpus: RawCorpus,
@@ -390,3 +389,28 @@ def _trace_record(state: LearnerState, corpus: RawCorpus,
                 rec.token_f = _metrics.token_prf(
                     bounds, gold.boundaries, corpus.n_chars).f
     return rec
+
+
+def write_trace(trace: Sequence[TraceRecord], path: str | Path) -> None:
+    """Write one JSON row per trace record.
+
+    A row carries ``criteria`` and ``token_f`` when its record has
+    criteria.  The boundaries of the i-th record, when it has them, go to
+    a file named like ``path`` with the suffix ``.snap<i>.json``, as a
+    sorted JSON list that the row names as ``boundary_snapshot``.
+    """
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as fh:
+        for i, tr in enumerate(trace):
+            row = {"iteration": tr.iteration, "objective": tr.objective,
+                   "n_tokens": tr.n_tokens, "n_types": tr.n_types,
+                   "n_boundaries": tr.n_boundaries}
+            if tr.criteria is not None:
+                row["criteria"] = tr.criteria
+                row["token_f"] = tr.token_f
+            if tr.boundaries is not None:
+                snap = path.with_suffix(f".snap{i}.json")
+                snap.write_text(json.dumps(sorted(tr.boundaries)),
+                                encoding="utf-8")
+                row["boundary_snapshot"] = str(snap)
+            fh.write(json.dumps(row) + "\n")

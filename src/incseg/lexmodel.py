@@ -12,7 +12,6 @@ semantics; substitution consumes exactly the occurrences that were counted.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -152,116 +151,13 @@ def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     return seq, lex
 
 
-def count_occurrences(seq: TokenSequence, s: Sequence[int]) -> int:
-    """Greedy left-to-right non-overlapping occurrences of ``s`` per block."""
-    if len(s) < 2:
-        raise ValueError("candidate must have >= 2 tokens")
-    s = tuple(s)
-    n = len(s)
-    tok, nxt = seq.tok, seq.nxt
-    count = 0
-    for start in seq.block_starts:
-        p = start
-        while p != -1:
-            q = p
-            k = 0
-            while k < n and q != -1 and tok[q] == s[k]:
-                q = nxt[q]
-                k += 1
-            if k == n:
-                count += 1
-                p = q  # jump past the match
-            else:
-                p = nxt[p]
-    return count
-
-
 @dataclass
 class CompressionDelta:
-    """Exact bookkeeping of one compression for delta scoring and audit."""
+    """One applied compression: the new token and how many sites it took."""
 
     fresh_id: int
     token: TokenTuple
     occurrences: int
-    count_changes: dict[int, tuple[int, int]]  # token id -> (old, new)
-    old_total: int
-    new_total: int
-
-
-def apply_compression(
-    seq: TokenSequence,
-    lex: Lexicon,
-    s: Sequence[int],
-    fresh_id: int | None = None,
-) -> CompressionDelta:
-    """Replace all greedy non-overlapping occurrences of ``s`` by a new token.
-
-    Standalone path (no candidate index); the learner goes through
-    ``CandidateIndex.apply`` which performs the same mutation with index
-    maintenance.
-    """
-    s = tuple(s)
-    sites = _scan_sites(seq, s)
-    if not sites:
-        raise ValueError(f"candidate {s} does not occur")
-    if fresh_id is None:
-        fresh_id = len(seq.counts)
-    elif fresh_id != len(seq.counts):
-        raise ValueError("fresh_id must be the next dense token id")
-    old_counts = {w: seq.counts[w] for w in set(s)}
-    old_total = seq.total
-    seq.new_token(sum(seq.lengths[w] for w in s))
-    lex.define(s, "".join(lex.entries[w].surface for w in s))
-    for site in sites:
-        seq.merge_site(site, fresh_id)
-    changes = {w: (old_counts[w], seq.counts[w]) for w in set(s)}
-    changes[fresh_id] = (0, len(sites))
-    return CompressionDelta(fresh_id, s, len(sites), changes, old_total,
-                            seq.total)
-
-
-def _scan_sites(seq: TokenSequence, s: TokenTuple) -> list[list[int]]:
-    n = len(s)
-    tok, nxt = seq.tok, seq.nxt
-    sites: list[list[int]] = []
-    for start in seq.block_starts:
-        p = start
-        while p != -1:
-            site = []
-            q = p
-            k = 0
-            while k < n and q != -1 and tok[q] == s[k]:
-                site.append(q)
-                q = nxt[q]
-                k += 1
-            if k == n:
-                sites.append(site)
-                p = q
-            else:
-                p = nxt[p]
-    return sites
-
-
-@dataclass
-class NgramStats:
-    n: int
-    counts: dict[TokenTuple, int]
-
-    @property
-    def distinct(self) -> int:
-        return len(self.counts)
-
-
-def ngram_stats(seq: TokenSequence, n: int) -> NgramStats:
-    """ML n-gram counts per block, no padding, no cross-block grams."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    counts: Counter[TokenTuple] = Counter()
-    for start in seq.block_starts:
-        block = [seq.tok[p] for p in seq.iter_positions(start)]
-        for i in range(n - 1, len(block)):
-            counts[tuple(block[i - n + 1:i + 1])] += 1
-    return NgramStats(n, dict(counts))
 
 
 class CandidateIndex:
@@ -376,8 +272,6 @@ class CandidateIndex:
             raise ValueError(f"candidate {t} does not occur")
         fresh = seq.new_token(sum(seq.lengths[w] for w in t))
         lex.define(t, "".join(lex.entries[w].surface for w in t))
-        old_counts = {w: seq.counts[w] for w in set(t)}
-        old_total = seq.total
         ctx = self.n_max - 1
         prv = seq.prv
         for site in sites:
@@ -395,10 +289,7 @@ class CandidateIndex:
             for s0 in lctx:
                 self._register_at(s0)
             self._register_at(p1)
-        changes = {w: (old_counts[w], seq.counts[w]) for w in set(t)}
-        changes[fresh] = (0, len(sites))
-        return CompressionDelta(fresh, t, len(sites), changes, old_total,
-                                seq.total)
+        return CompressionDelta(fresh, t, len(sites))
 
     def consume_dirty(self) -> tuple[list[TokenTuple], list[TokenTuple]]:
         """Flush the n-grams whose positions ``apply`` touched: returns
@@ -417,29 +308,3 @@ class CandidateIndex:
                 if self.m.pop(t, None) is not None:  # else born and died
                     dead.append(t)
         return dead, changed
-
-
-def verify_sequence(seq: TokenSequence, lex: Lexicon,
-                    corpus: RawCorpus | None = None) -> None:
-    """Assert maintained statistics against a from-scratch recount."""
-    recount: Counter[int] = Counter()
-    total = 0
-    for start in seq.block_starts:
-        for p in seq.iter_positions(start):
-            recount[seq.tok[p]] += 1
-            total += 1
-    assert total == seq.total, (total, seq.total)
-    for tid, c in enumerate(seq.counts):
-        assert recount.get(tid, 0) == c, (tid, recount.get(tid, 0), c)
-    conserved = sum(c * seq.lengths[t] for t, c in enumerate(seq.counts))
-    assert conserved == seq.n_chars, (conserved, seq.n_chars)
-    for tid in recount:
-        expanded = lex.expand(tid)
-        assert expanded == lex.surface(tid)
-        assert len(expanded) == seq.lengths[tid]
-    if corpus is not None:
-        expanded = "".join(
-            lex.surface(seq.tok[p])
-            for start in seq.block_starts
-            for p in seq.iter_positions(start))
-        assert expanded == corpus.char_string()

@@ -13,7 +13,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -49,7 +49,6 @@ class GridSpec:
     alphas: tuple[float, ...]
     betas: tuple[float, ...]
     kinds: tuple[str, ...] = ("xlogx",)
-    criteria: tuple[str, ...] = CRITERIA
 
     def __post_init__(self) -> None:
         if not self.alphas or not self.betas or not self.kinds:
@@ -109,21 +108,21 @@ def load_boundaries(path: Path) -> frozenset[int]:
     return frozenset(int(x) for x in np.cumsum(deltas))
 
 
-# Per-process state for grid workers (populated by fork initializer).
+# The arguments every cell of a grid shares, (corpus, gold, options,
+# out_dir, trace), set in each pool worker by the fork initializer.
 _WORK: dict = {}
 
 
-def _init_worker(corpus, gold, options, out_dir, trace) -> None:
-    _WORK.update(corpus=corpus, gold=gold, options=options,
-                 out_dir=out_dir, trace=trace)
+def _init_worker(work: tuple) -> None:
+    _WORK["work"] = work
 
 
-def _run_cell(cell: tuple[str, float, float]) -> dict:
+def _run_cell(cell: tuple[str, float, float],
+              work: tuple | None = None) -> dict:
+    """One cell's ledger row, or an error row if the cell failed."""
     kind, alpha, beta = cell
     try:
-        return _execute_cell(_WORK["corpus"], _WORK["gold"], _WORK["options"],
-                             Path(_WORK["out_dir"]), _WORK["trace"], kind,
-                             alpha, beta)
+        return _execute_cell(*(work or _WORK["work"]), kind, alpha, beta)
     except Exception as e:  # recorded per-cell; the grid keeps going
         return {"error": f"{type(e).__name__}: {e}", "penalty": kind,
                 "alpha": alpha, "beta": beta}
@@ -135,15 +134,15 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
                   stage: str | None = None) -> dict:
     t0 = time.perf_counter()
     params = PenaltyParams(alpha=alpha, beta=beta, kind=kind)
-    opts = options
-    if trace:
-        opts = _learner.LearnerOptions(
-            **{**asdict(options), "trace_mode": "criteria"})
+    opts = replace(options, trace_mode="criteria") if trace else options
     result = _learner.run(corpus, params, opts, gold=gold)
     bounds = result.hypothesis.boundaries
-    last = result.trace[-1] if result.trace else None
-    if last and last.criteria and last.iteration == result.iterations:
-        crit = last.criteria  # the final snapshot scored these boundaries
+    trace_rel = None
+    if trace:  # a criteria trace ends with a snapshot of these boundaries
+        crit = result.trace[-1].criteria
+        trace_rel = f"traces/{kind}_a{alpha:g}_b{beta:g}.jsonl"
+        (out_dir / "traces").mkdir(parents=True, exist_ok=True)
+        _learner.write_trace(result.trace, out_dir / trace_rel)
     else:
         crit = {cid: cv.value for cid, cv in
                 _criteria.evaluate_boundaries(corpus, bounds).items()}
@@ -151,18 +150,6 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
     if gold is not None:
         metrics = _metrics.evaluate_segmentation(corpus, gold, bounds).as_dict()
     digest, rel = save_boundaries(bounds, out_dir / "boundaries")
-    trace_rel = None
-    if trace:
-        trace_rel = f"traces/{kind}_a{alpha:g}_b{beta:g}.jsonl"
-        tp = out_dir / trace_rel
-        tp.parent.mkdir(parents=True, exist_ok=True)
-        with tp.open("w", encoding="utf-8") as fh:
-            for tr in result.trace:
-                row = {"iteration": tr.iteration, "objective": tr.objective,
-                       "n_tokens": tr.n_tokens, "n_types": tr.n_types,
-                       "n_boundaries": tr.n_boundaries,
-                       "criteria": tr.criteria, "token_f": tr.token_f}
-                fh.write(json.dumps(row) + "\n")
     rec = RunRecord(
         alpha=alpha, beta=beta, penalty=kind, n_max=options.n_max,
         iterations=result.iterations, stopped=result.stopped,
@@ -225,23 +212,16 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
         ledger.flush()
         done[(row["penalty"], row["alpha"], row["beta"])] = RunRecord(**row)
 
+    work = (corpus, gold, options, out, trace)
     ledger = (out / "runs.jsonl").open("a", encoding="utf-8")
     try:
         if jobs <= 1 or len(todo) <= 1:
             for cell in todo:
-                try:
-                    row = _execute_cell(corpus, gold, options, out, trace,
-                                        *cell)
-                except Exception as e:
-                    row = {"error": f"{type(e).__name__}: {e}",
-                           "penalty": cell[0], "alpha": cell[1],
-                           "beta": cell[2]}
-                _record(row)
+                _record(_run_cell(cell, work))
         else:
             ctx = get_context("fork")
             with ctx.Pool(jobs, initializer=_init_worker,
-                          initargs=(corpus, gold, options, str(out),
-                                    trace)) as pool:
+                          initargs=(work,)) as pool:
                 for row in pool.imap_unordered(_run_cell, todo):
                     _record(row)
     finally:

@@ -33,7 +33,7 @@ from incseg.search import (GridSpec, load_boundaries, run_grid,
 from conftest import make_corpus, random_gold_text
 from fixtures_metrics import CASES
 from oracles import (definition_spearman, enumerate_segmentations,
-                     oracle_unigram_scores)
+                     oracle_unigram_scores, verify_sequence)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -104,7 +104,6 @@ def _audit_run(corpus, params, options) -> tuple[float, int, int, bool]:
         if sum(c * lengths[t] for t, c in enumerate(counts)) != n:
             conservation_bad += 1
         if small or state.iteration % 25 == 0:
-            from incseg.lexmodel import verify_sequence
             verify_sequence(state.seq, state.lex, corpus)
     return (max_gap, conservation_bad, nonimproving,
             state.iteration <= n, state.iteration)

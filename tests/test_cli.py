@@ -227,3 +227,75 @@ def test_sighan_punct_hard_pipeline(tmp_path, capsys):
           "--format", "sighan", "--punct-hard"])
     report = json.loads(capsys.readouterr().out)
     assert report["token"]["f"] == 100.0
+
+
+def test_config_equals_spelling(corpus_file, tmp_path):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("alpha = 0.7\n")
+    manifests = []
+    for i, spelling in enumerate((["--config", str(cfg)],
+                                  [f"--config={cfg}"])):
+        out = tmp_path / f"seg{i}.txt"
+        rc = main(["segment", str(corpus_file), *spelling, "--stop-at", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads(
+            out.with_suffix(".txt.manifest.json").read_text())
+        manifests.append({k: v for k, v in manifest["flags"].items()
+                          if k != "out"})
+    assert manifests[0]["alpha"] == 0.7
+    assert manifests[0] == manifests[1]
+
+
+def test_config_multi_value_and_switch(corpus_file, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("penalty = xlogx x2\nalpha = 0.2\nbeta = 0.2\n"
+                   "trace = true\nstop-at = 4\n")
+    out = tmp_path / "grid"
+    rc = main(["grid", str(corpus_file), "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flags"]["penalty"] == ["xlogx", "x2"]
+    assert manifest["flags"]["trace"] is True
+    ledger = [json.loads(l) for l in (out / "runs.jsonl").read_text()
+              .splitlines()]
+    assert sorted(r["penalty"] for r in ledger) == ["xlogx", "xsquared"]
+    assert all(r["trace_file"] for r in ledger)
+
+
+@pytest.mark.parametrize("entry", ["penalty = foo", "aplha = 1",
+                                   "max-iters = 3", "trace = maybe"])
+def test_bad_config_entry_exits_2(corpus_file, tmp_path, capsys, entry):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(entry + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", str(corpus_file), "--config", str(cfg),
+              "--out", str(tmp_path / "grid")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("incseg: error: ")
+    assert not (tmp_path / "grid").exists()
+
+
+def test_trace_rows_pinned_key_order(corpus_file, tmp_path):
+    base = ["iteration", "objective", "n_tokens", "n_types", "n_boundaries"]
+    trace = tmp_path / "trace.jsonl"
+    main(["segment", str(corpus_file), "--out", str(tmp_path / "seg.txt"),
+          "--trace-every", "2", "--trace-out", str(trace),
+          "--trace-snapshots"])
+    rows = [json.loads(l) for l in trace.read_text().splitlines()]
+    assert rows and all(list(r) == base + ["boundary_snapshot"]
+                        for r in rows)
+    with open(rows[-1]["boundary_snapshot"], encoding="utf-8") as fh:
+        snap = json.load(fh)
+    assert snap == sorted(json.loads(
+        (tmp_path / "seg.txt.json").read_text())["boundaries"])
+    grid_dir = tmp_path / "grid"
+    main(["grid", str(corpus_file), "--alpha", "0.2", "--beta", "0.2",
+          "--out", str(grid_dir), "--trace", "--trace-every", "2"])
+    rec = json.loads((grid_dir / "runs.jsonl").read_text())
+    rows = [json.loads(l)
+            for l in (grid_dir / rec["trace_file"]).read_text().splitlines()]
+    assert rows and all(list(r) == base + ["criteria", "token_f"]
+                        for r in rows)

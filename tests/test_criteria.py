@@ -17,7 +17,9 @@ from incseg.learner import PenaltyParams, run
 from incseg.lexmodel import init_from_corpus
 
 from conftest import make_corpus, random_gold_text
-from oracles import enumerate_segmentations, oracle_unigram_scores
+from oracles import (apply_compression, enumerate_segmentations,
+                     oracle_unigram_scores,
+                     segmented_text_from_token_sequence)
 
 
 def seg_for(text, boundaries):
@@ -182,10 +184,9 @@ def test_surface_canonicalization_merges_duplicate_types():
     # criteria must treat them as one type
     corpus, _ = make_corpus("abc abc\n")
     seq, lex = init_from_corpus(corpus)
-    from incseg.lexmodel import apply_compression
     a, b, c = (corpus.charmap.ids[ch] for ch in "abc")
     d1 = apply_compression(seq, lex, (a, b))       # ab at first word
-    st_seq = SegmentedText.from_token_sequence(seq, lex)
+    st_seq = segmented_text_from_token_sequence(seq, lex)
     st_bounds = SegmentedText.from_boundaries(corpus, seq.boundary_set())
     assert sorted(st_seq.type_surfaces) == sorted(st_bounds.type_surfaces)
     assert neg_log_likelihood(st_seq, 1) == neg_log_likelihood(st_bounds, 1)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incseg.lexmodel import (CandidateIndex, apply_compression,
-                             count_occurrences, init_from_corpus, ngram_stats,
-                             verify_sequence)
+from incseg.lexmodel import CandidateIndex, init_from_corpus
 
 from conftest import make_corpus, random_gold_text
+from oracles import (apply_compression, count_occurrences, ngram_stats,
+                     verify_sequence)
 
 
 def seq_for(text, tmp_path=None):
