@@ -146,10 +146,10 @@ def _cmd_dump_lexicon(ns: argparse.Namespace) -> int:
 
 
 def _cmd_grid(ns: argparse.Namespace) -> int:
-    corpus, gold = _load_corpus(ns)
     kinds = tuple(_PENALTY_NAMES[k] for k in ns.penalty)
     spec = _search.GridSpec(_search.parse_range(ns.alpha),
                             _search.parse_range(ns.beta), kinds)
+    corpus, gold = _load_corpus(ns)
     options = _learner_options(ns, trace_mode="none")
     records = _search.run_grid(corpus, gold, spec, ns.out, options=options,
                                jobs=ns.jobs, trace=ns.trace,

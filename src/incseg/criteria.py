@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from math import fsum, log
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .corpus import RawCorpus
 
@@ -25,9 +25,10 @@ _END_MARK = "\x00"  # end-of-word symbol in the codebook character model
 class CriterionValue:
     """Criterion score with its audit components.
 
-    ``extra`` is the finite-sample correction term for AIC and the codebook
-    length for MDL; value = neg_log_lik + complexity (AIC) or
-    neg_log_lik + 0.5*k*ln N + extra (MDL).
+    ``complexity_k`` is the parameter count k for AIC and the number of
+    distinct n-gram types for MDL; ``extra`` is the finite-sample
+    correction term for AIC and the codebook length for MDL.  value =
+    neg_log_lik + extra (AIC) or neg_log_lik + 0.5*k*ln N + extra (MDL).
     """
 
     id: str
@@ -38,9 +39,15 @@ class CriterionValue:
 
 
 class SegmentedText:
-    """Surface-typed token view of one segmentation."""
+    """Surface-typed token view of one segmentation.
 
-    __slots__ = ("blocks", "type_surfaces", "type_counts", "total", "n_chars")
+    ``tables[n]`` holds (n-gram counts, context counts) for n = 2 and 3,
+    counted within blocks; a context is counted only where a word follows
+    it in its block.
+    """
+
+    __slots__ = ("blocks", "type_surfaces", "type_counts", "total", "n_chars",
+                 "tables")
 
     def __init__(self, blocks: list[list[int]], type_surfaces: list[str]):
         self.blocks = blocks
@@ -55,6 +62,7 @@ class SegmentedText:
         self.total = total
         self.n_chars = sum(
             c * len(s) for c, s in zip(counts, type_surfaces))
+        self.tables = {n: _order_tables(blocks, n) for n in (2, 3)}
 
     @classmethod
     def from_boundaries(cls, corpus: RawCorpus,
@@ -88,11 +96,12 @@ def _intern(s: str, table: dict[str, int], surfaces: list[str]) -> int:
     return i
 
 
-def _order_tables(st: SegmentedText, order: int):
+def _order_tables(blocks: list[list[int]], order: int
+                  ) -> tuple[Counter, Counter]:
     """(n-gram counts, context counts) for one order, within blocks only."""
     grams: Counter = Counter()
     ctx: Counter = Counter()
-    for b in st.blocks:
+    for b in blocks:
         for i in range(order - 1, len(b)):
             g = tuple(b[i - order + 1:i + 1])
             grams[g] += 1
@@ -109,43 +118,18 @@ def neg_log_likelihood(st: SegmentedText, n: int) -> float:
     total = st.total
     if n == 1:
         return fsum(-c * log(c / total) for c in counts if c > 0)
-    tables = {k: _order_tables(st, k) for k in range(2, n + 1)}
     terms = []
     for b in st.blocks:
         terms.append(-log(counts[b[0]] / total))
         for i in range(1, min(n - 1, len(b))):
-            grams, ctx = tables[i + 1]
+            grams, ctx = st.tables[i + 1]
             g = tuple(b[:i + 1])
             terms.append(-log(grams[g] / ctx[g[:-1]]))
-        grams, ctx = tables[n]
+        grams, ctx = st.tables[n]
         for i in range(n - 1, len(b)):
             g = tuple(b[i - n + 1:i + 1])
             terms.append(-log(grams[g] / ctx[g[:-1]]))
     return fsum(terms)
-
-
-def distinct_ngrams(st: SegmentedText, n: int) -> int:
-    if n == 1:
-        return sum(1 for c in st.type_counts if c > 0)
-    seen = set()
-    for b in st.blocks:
-        for i in range(n - 1, len(b)):
-            seen.add(tuple(b[i - n + 1:i + 1]))
-    return len(seen)
-
-
-def lexicon_size_term(st: SegmentedText) -> int:
-    """Sum over active word types of (1 + |w| in characters)."""
-    return sum(1 + len(s)
-               for s, c in zip(st.type_surfaces, st.type_counts) if c > 0)
-
-
-def complexity_aic(st: SegmentedText, n: int) -> int:
-    """Degrees of freedom charged by the AIC family."""
-    base = lexicon_size_term(st)
-    if n == 1:
-        return base + distinct_ngrams(st, 1)
-    return base + 1 + 2 * distinct_ngrams(st, n)
 
 
 def codebook_length(st: SegmentedText) -> float:
@@ -168,47 +152,41 @@ def codebook_length(st: SegmentedText) -> float:
     return -fsum(c * log(c / z) for c in sym.values())
 
 
-def aicc(st: SegmentedText, n: int, n_chars: int | None = None) -> CriterionValue:
-    """AIC with the finite-sample correction N*k/(N-k-1); +inf when the
-    model is over-parameterized (N - k - 1 <= 0)."""
-    big_n = st.n_chars if n_chars is None else n_chars
-    nll = neg_log_likelihood(st, n)
-    k = complexity_aic(st, n)
-    if big_n - k - 1 <= 0:
-        return CriterionValue(f"aic{n}", math.inf, nll, k, math.inf)
-    corr = big_n * k / (big_n - k - 1)
-    return CriterionValue(f"aic{n}", nll + corr, nll, k, corr)
+def evaluate(st: SegmentedText) -> dict[str, CriterionValue]:
+    """All six criteria in ``CRITERIA`` order, with N = st.n_chars.
 
-
-def mdl(st: SegmentedText, n: int, n_chars: int | None = None) -> CriterionValue:
-    """Description length: nll + (k/2) ln N + codebook length, with k the
-    number of distinct n-gram types."""
-    big_n = st.n_chars if n_chars is None else n_chars
-    nll = neg_log_likelihood(st, n)
-    k = distinct_ngrams(st, n)
+    With L the sum over active word types of (1 + |w|) and k_n the number
+    of distinct n-gram types, AICc charges k = L + k_1 at order 1 and
+    L + 1 + 2 k_n above it, with the correction N k / (N - k - 1) (+inf when
+    N - k - 1 <= 0); MDL charges (k_n / 2) ln N plus the codebook length.
+    Both families of an order share its likelihood and k_n.
+    """
+    big_n = st.n_chars
+    active = [(s, c) for s, c in zip(st.type_surfaces, st.type_counts)
+              if c > 0]
+    lexicon = sum(1 + len(s) for s, _ in active)
     cbl = codebook_length(st)
-    value = nll + 0.5 * k * log(big_n) + cbl
-    return CriterionValue(f"mdl{n}", value, nll, k, cbl)
+    aic: list[CriterionValue] = []
+    mdl: list[CriterionValue] = []
+    for n in (1, 2, 3):
+        nll = neg_log_likelihood(st, n)
+        k_n = len(active) if n == 1 else len(st.tables[n][0])
+        k = lexicon + k_n if n == 1 else lexicon + 1 + 2 * k_n
+        if big_n - k - 1 <= 0:
+            aic.append(CriterionValue(f"aic{n}", math.inf, nll, k, math.inf))
+        else:
+            corr = big_n * k / (big_n - k - 1)
+            aic.append(CriterionValue(f"aic{n}", nll + corr, nll, k, corr))
+        mdl.append(CriterionValue(f"mdl{n}",
+                                  nll + 0.5 * k_n * log(big_n) + cbl,
+                                  nll, k_n, cbl))
+    return {cv.id: cv for cv in aic + mdl}
 
 
-def evaluate(st: SegmentedText,
-             which: Sequence[str] = CRITERIA,
-             n_chars: int | None = None) -> dict[str, CriterionValue]:
-    out: dict[str, CriterionValue] = {}
-    for cid in which:
-        if cid not in CRITERIA:
-            raise ValueError(f"unknown criterion {cid!r}")
-        n = int(cid[-1])
-        out[cid] = (aicc if cid.startswith("aic") else mdl)(st, n, n_chars)
-    return out
-
-
-def evaluate_boundaries(corpus: RawCorpus, boundaries: Iterable[int],
-                        which: Sequence[str] = CRITERIA
+def evaluate_boundaries(corpus: RawCorpus, boundaries: Iterable[int]
                         ) -> dict[str, CriterionValue]:
     """Score a segmentation given as a boundary set over the corpus."""
-    st = SegmentedText.from_boundaries(corpus, boundaries)
-    return evaluate(st, which, corpus.n_chars)
+    return evaluate(SegmentedText.from_boundaries(corpus, boundaries))
 
 
 def in_bits(value_nats: float) -> float:

@@ -53,6 +53,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.alphas or not self.betas or not self.kinds:
             raise ValueError("empty grid axis")
+        for kind, alpha, beta in self.cells():
+            PenaltyParams(alpha, beta, kind)
 
     def cells(self) -> list[tuple[str, float, float]]:
         return [(k, a, b) for k in self.kinds for a in self.alphas
@@ -77,7 +79,6 @@ class RunRecord:
     boundary_file: str
     trace_file: str | None
     wall_time: float
-    stage: str | None = None
 
     def key(self) -> tuple[str, float, float]:
         return (self.penalty, self.alpha, self.beta)
@@ -130,8 +131,7 @@ def _run_cell(cell: tuple[str, float, float],
 
 def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
                   options: LearnerOptions, out_dir: Path, trace: bool,
-                  kind: str, alpha: float, beta: float,
-                  stage: str | None = None) -> dict:
+                  kind: str, alpha: float, beta: float) -> dict:
     t0 = time.perf_counter()
     params = PenaltyParams(alpha=alpha, beta=beta, kind=kind)
     opts = replace(options, trace_mode="criteria") if trace else options
@@ -157,7 +157,7 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
         n_types=result.hypothesis.seq.n_types(),
         n_boundaries=len(bounds), criteria=crit, metrics=metrics,
         boundary_digest=digest, boundary_file=f"boundaries/{rel}",
-        trace_file=trace_rel, wall_time=time.perf_counter() - t0, stage=stage)
+        trace_file=trace_rel, wall_time=time.perf_counter() - t0)
     return asdict(rec)
 
 
@@ -178,8 +178,10 @@ def load_ledger(out_dir: Path) -> list[RunRecord]:
     for i, line in enumerate(lines, 1):
         try:
             if line.strip():
-                records.append(RunRecord(**json.loads(line)))
-        except (ValueError, TypeError) as e:
+                row = json.loads(line)
+                row.pop("stage", None)  # an always-null field of old ledgers
+                records.append(RunRecord(**row))
+        except (ValueError, TypeError, AttributeError) as e:
             raise ValueError(f"{path}:{i}: bad ledger line: {e}") from None
     return records
 
@@ -193,18 +195,13 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     options = options or LearnerOptions()
-    done: dict[tuple[str, float, float], RunRecord] = {}
     existing = load_ledger(out)  # also cuts a torn tail before appending
-    if resume:
-        for rec in existing:
-            if rec.stage is None:
-                done[rec.key()] = rec
+    done: dict[tuple[str, float, float], RunRecord] = (
+        {rec.key(): rec for rec in existing} if resume else {})
     todo = [c for c in spec.cells() if c not in done]
-    failures: list[dict] = []
 
     def _record(row: dict) -> None:
         if "error" in row:
-            failures.append(row)
             with (out / "errors.jsonl").open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(row) + "\n")
             return
@@ -246,6 +243,8 @@ def select_family_minimum(records: Sequence[RunRecord],
 
 def select_top_k(records: Sequence[RunRecord], criterion: str,
                  k: int) -> list[RunRecord]:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if k > len(records):
         raise ValueError(f"k={k} exceeds {len(records)} records")
     if criterion not in CRITERIA:
@@ -320,6 +319,7 @@ def staged_search(corpus: RawCorpus, gold: GoldSegmentation | None,
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
+    GridSpec(tuple(alphas), (beta0, *betas), (kind,))  # checks every value
     out = Path(out_dir)
     stage1 = run_grid(corpus, gold,
                       GridSpec(tuple(alphas), (round(beta0, 10),), (kind,)),

@@ -36,28 +36,71 @@ def _in_block(corpus, p):
     return False
 
 
-def oracle_unigram_scores(corpus, boundaries):
-    """AIC1/MDL1 evaluated directly from the boundary set."""
+def oracle_criteria(corpus, boundaries):
+    """All six criteria straight from the words of each block, as
+    ``{id: (value, neg_log_lik, complexity_k, extra)}``.
+
+    The order-n likelihood is a sum over token positions: the token at
+    position i of its block is predicted by the order-min(i + 1, n) ML
+    model, count(history, word) / count(history followed by a word), both
+    counted within blocks.  The order-1 likelihood sums c ln(c / M) per type.
+    """
     chars = corpus.char_string()
-    cuts = [0] + sorted(boundaries) + [len(chars)]
-    words = [chars[a:b] for a, b in zip(cuts, cuts[1:])]
-    counts = Counter(words)
-    m = len(words)
-    nll = fsum(-c * log(c / m) for c in counts.values())
-    big_n = len(chars)
-    k_aic = sum(1 + len(w) for w in counts) + len(counts)
-    if big_n - k_aic - 1 <= 0:
-        aic_val = math.inf
-    else:
-        aic_val = nll + big_n * k_aic / (big_n - k_aic - 1)
+    cuts = sorted(boundaries)
+    blocks, off = [], 0
+    for b in corpus.blocks:
+        inner = [p for p in cuts if off < p < off + len(b)]
+        edges = [off, *inner, off + len(b)]
+        blocks.append([chars[x:y] for x, y in zip(edges, edges[1:])])
+        off += len(b)
+    unigram = Counter(w for b in blocks for w in b)
+    m = sum(unigram.values())
+    big_n = sum(len(w) * c for w, c in unigram.items())
+    grams, histories = {}, {}
+    for k in (2, 3):
+        grams[k] = Counter(tuple(b[i:i + k]) for b in blocks
+                           for i in range(len(b) - k + 1))
+        histories[k] = Counter()
+        for g, c in grams[k].items():
+            histories[k][g[:-1]] += c
+    nll = {1: fsum(-c * log(c / m) for c in unigram.values())}
+    for n in (2, 3):
+        terms = []
+        for b in blocks:
+            terms.append(-log(unigram[b[0]] / m))
+            for i in range(1, len(b)):
+                g = tuple(b[max(0, i - n + 1):i + 1])
+                order = len(g)
+                terms.append(-log(grams[order][g] / histories[order][g[:-1]]))
+        nll[n] = fsum(terms)
+    lexicon = sum(1 + len(w) for w in unigram)
     sym = Counter()
-    for w in counts:
+    for w in unigram:
         sym.update(w)
-    sym["\x00"] += len(counts)
+    sym["\x00"] += len(unigram)
     z = sum(sym.values())
     cbl = -fsum(c * log(c / z) for c in sym.values())
-    mdl_val = nll + 0.5 * len(counts) * log(big_n) + cbl
-    return aic_val, mdl_val
+    out = {}
+    for n in (1, 2, 3):
+        if n == 1:
+            k = lexicon + len(unigram)
+        else:
+            k = lexicon + 1 + 2 * len(grams[n])
+        if big_n - k - 1 <= 0:
+            out[f"aic{n}"] = (math.inf, nll[n], k, math.inf)
+        else:
+            corr = big_n * k / (big_n - k - 1)
+            out[f"aic{n}"] = (nll[n] + corr, nll[n], k, corr)
+    for n in (1, 2, 3):
+        k = len(unigram) if n == 1 else len(grams[n])
+        out[f"mdl{n}"] = (nll[n] + 0.5 * k * log(big_n) + cbl, nll[n], k, cbl)
+    return out
+
+
+def oracle_unigram_scores(corpus, boundaries):
+    """AIC1/MDL1 evaluated directly from the boundary set."""
+    vals = oracle_criteria(corpus, boundaries)
+    return vals["aic1"][0], vals["mdl1"][0]
 
 
 def definition_spearman(xs, ys):

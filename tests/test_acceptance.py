@@ -191,8 +191,7 @@ def test_c02_bruteforce_segmentation_oracle():
         for bounds in enumerate_segmentations(corpus):
             if bounds == hyp:
                 matched = True
-                vals = evaluate_boundaries(corpus, bounds,
-                                           which=("aic1", "mdl1"))
+                vals = evaluate_boundaries(corpus, bounds)
                 aic_o, mdl_o = oracle_unigram_scores(corpus, bounds)
                 assert vals["aic1"].value == aic_o, text
                 assert vals["mdl1"].value == mdl_o, text

@@ -299,3 +299,35 @@ def test_trace_rows_pinned_key_order(corpus_file, tmp_path):
             for l in (grid_dir / rec["trace_file"]).read_text().splitlines()]
     assert rows and all(list(r) == base + ["criteria", "token_f"]
                         for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--alpha=-1", "--beta", "0"],
+    ["grid", "--alpha", "0", "--beta", "0:0.4:0.2", "--penalty", "x2",
+     "xlogx", "--beta=-0.2"],
+    ["staged", "--alpha", "0:0.4:0.2", "--beta=-1"],
+    ["staged", "--alpha", "0", "--beta", "0", "--beta0=-1"],
+])
+def test_bad_penalty_range_is_one_line_error(corpus_file, tmp_path, capsys,
+                                              argv):
+    out = tmp_path / "out"
+    rc = main([argv[0], str(corpus_file), *argv[1:], "--out", str(out)])
+    assert rc != 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["incseg: error: alpha and beta must be finite and >= 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_select_rejects_top_below_one(corpus_file, tmp_path, capsys, top):
+    grid_dir = tmp_path / "grid"
+    main(["grid", str(corpus_file), "--alpha", "0:0.4:0.4", "--beta", "0",
+          "--out", str(grid_dir)])
+    capsys.readouterr()
+    rc = main(["select", "--ledger", str(grid_dir), "--criterion", "mdl2",
+               "--top", top])
+    assert rc != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"incseg: error: k must be at least 1, got {top}"]

@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incseg.criteria import (CRITERIA, SegmentedText, aicc, codebook_length,
-                             complexity_aic, distinct_ngrams, evaluate,
-                             evaluate_boundaries, in_bits, mdl,
+from incseg.criteria import (CRITERIA, SegmentedText, codebook_length,
+                             evaluate, evaluate_boundaries, in_bits,
                              neg_log_likelihood)
 from incseg.learner import PenaltyParams, run
 from incseg.lexmodel import init_from_corpus
 
 from conftest import make_corpus, random_gold_text
 from oracles import (apply_compression, enumerate_segmentations,
-                     oracle_unigram_scores,
+                     oracle_criteria, oracle_unigram_scores,
                      segmented_text_from_token_sequence)
 
 
@@ -70,25 +69,27 @@ def test_nll_bigram_conditionals_are_proper():
 def test_aic_complexity_character_inventory():
     _, st_ = seg_for("abcabc\n", {1, 2, 3, 4, 5})
     # C types, all length 1: sum (1+|w|) = 2C, plus C unigrams
-    assert complexity_aic(st_, 1) == 3 * 3
+    assert evaluate(st_)["aic1"].complexity_k == 3 * 3
 
 
 def test_aic_complexity_single_composed_type():
     _, st_ = seg_for("ab\n", set())
-    assert complexity_aic(st_, 1) == 3 + 1
+    assert evaluate(st_)["aic1"].complexity_k == 3 + 1
 
 
 def test_aic_complexity_no_bigrams():
     _, st_ = seg_for("ab\ncd\n", {2})
     # one-token blocks: no bigrams, k = sum(1+|w|) + 1
-    assert complexity_aic(st_, 2) == (1 + 2) * 2 + 1
-    assert complexity_aic(st_, 3) == (1 + 2) * 2 + 1
+    vals = evaluate(st_)
+    assert vals["aic2"].complexity_k == (1 + 2) * 2 + 1
+    assert vals["aic3"].complexity_k == (1 + 2) * 2 + 1
 
 
 def test_aic_complexity_counts_types_not_occurrences():
     _, st_ = seg_for("abab\n", {2})
-    assert distinct_ngrams(st_, 1) == 1
-    assert complexity_aic(st_, 2) == (1 + 2) + 1 + 2 * 1
+    vals = evaluate(st_)
+    assert vals["mdl1"].complexity_k == 1
+    assert vals["aic2"].complexity_k == (1 + 2) + 1 + 2 * 1
 
 
 # -- codebook length --------------------------------------------------------
@@ -110,18 +111,18 @@ def test_cbl_ignores_multiplicity():
     assert codebook_length(once) == codebook_length(many)
 
 
-# -- aicc / mdl --------------------------------------------------------------
+# -- AICc / MDL values --------------------------------------------------------------
 
 
 def test_aicc_pole_is_infinite():
     _, st_ = seg_for("abab\n", {1, 2, 3})
     # N=4, k = 2*2 + 2 = 6 >= N-1
-    assert aicc(st_, 1).value == math.inf
+    assert evaluate(st_)["aic1"].value == math.inf
 
 
 def test_aicc_deterministic_sequence_value():
     _, st_ = seg_for("aaaaaaaaaa\n", set(range(1, 10)))
-    cv = aicc(st_, 1)
+    cv = evaluate(st_)["aic1"]
     n, k = 10, 3
     assert cv.neg_log_lik == 0.0
     assert cv.value == pytest.approx(n * k / (n - k - 1), abs=1e-12)
@@ -130,20 +131,21 @@ def test_aicc_deterministic_sequence_value():
 def test_mdl_components_reconstruct():
     corpus, _ = make_corpus(random_gold_text(random.Random(1), 200, 6))
     res = run(corpus, PenaltyParams(0.3, 0.3))
+    st_ = SegmentedText.from_boundaries(corpus, res.hypothesis.boundaries)
+    vals = evaluate(st_)
     for n in (1, 2, 3):
-        st_ = SegmentedText.from_boundaries(corpus,
-                                            res.hypothesis.boundaries)
-        cv = mdl(st_, n, corpus.n_chars)
+        cv = vals[f"mdl{n}"]
         rebuilt = (cv.neg_log_lik + 0.5 * cv.complexity_k *
                    math.log(corpus.n_chars) + cv.extra)
         assert abs(rebuilt - cv.value) <= 1e-9
-        av = aicc(st_, n, corpus.n_chars)
+        av = vals[f"aic{n}"]
         assert av.value == pytest.approx(av.neg_log_lik + av.extra)
 
 
 def test_mdl_cbl_independent_of_order():
     _, st_ = seg_for("abcabc\n", {3})
-    assert mdl(st_, 1).extra == mdl(st_, 2).extra == mdl(st_, 3).extra
+    vals = evaluate(st_)
+    assert vals["mdl1"].extra == vals["mdl2"].extra == vals["mdl3"].extra
 
 
 def test_initial_state_cbl_is_character_inventory_cost():
@@ -169,10 +171,25 @@ def test_nll_doubles_when_corpus_doubles():
 def test_evaluate_boundaries_all_six():
     corpus, gold = make_corpus("tupa se\nkomi tupa\n")
     vals = evaluate_boundaries(corpus, gold.boundaries)
-    assert set(vals) == set(CRITERIA)
+    assert tuple(vals) == CRITERIA
     assert vals["mdl1"].value > 0
-    with pytest.raises(ValueError):
-        evaluate_boundaries(corpus, gold.boundaries, which=("mdl9",))
+
+
+# blocks of one to four words, so orders 2 and 3 often fall back
+_BLOCKS = st.lists(st.lists(st.text("abc", min_size=1, max_size=3),
+                            min_size=1, max_size=4),
+                   min_size=1, max_size=6)
+
+
+@given(_BLOCKS)
+@settings(max_examples=150, deadline=None)
+def test_all_six_match_oracle_exactly(blocks):
+    corpus, gold = make_corpus("".join(" ".join(b) + "\n" for b in blocks))
+    vals = evaluate_boundaries(corpus, gold.boundaries)
+    got = {cid: (cv.value, cv.neg_log_lik, cv.complexity_k, cv.extra)
+           for cid, cv in vals.items()}
+    assert tuple(got) == CRITERIA
+    assert got == oracle_criteria(corpus, gold.boundaries)
 
 
 def test_in_bits():
@@ -215,7 +232,7 @@ def test_enumerator_agrees_on_learner_output(seed):
     for bounds in enumerate_segmentations(corpus):
         if bounds == hyp:
             seen = True
-            vals = evaluate_boundaries(corpus, bounds, which=("aic1", "mdl1"))
+            vals = evaluate_boundaries(corpus, bounds)
             aic_o, mdl_o = oracle_unigram_scores(corpus, bounds)
             assert vals["aic1"].value == aic_o
             assert vals["mdl1"].value == mdl_o

@@ -35,6 +35,28 @@ def test_parse_range():
         parse_range("0:1")
 
 
+@pytest.mark.parametrize("alphas, betas, kinds", [
+    ((-1.0,), (0.0,), ("xlogx",)),
+    ((0.0, 0.5), (0.0, float("nan")), ("xlogx",)),
+    ((0.0,), (0.0, float("inf")), ("xsquared",)),
+    ((0.0,), (0.0,), ("cubic",)),
+])
+def test_grid_spec_rejects_bad_penalty(alphas, betas, kinds):
+    with pytest.raises(ValueError):
+        GridSpec(alphas, betas, kinds)
+
+
+def test_staged_search_checks_range_before_running(toy, tmp_path):
+    corpus, gold = toy
+    for alphas, betas, beta0 in (((0.0,), (0.0, -0.5), 1.0),
+                                 ((0.0, -1.0), (0.0,), 1.0),
+                                 ((0.0,), (0.0,), -1.0)):
+        with pytest.raises(ValueError, match="alpha and beta"):
+            staged_search(corpus, gold, "mdl2", alphas, betas,
+                          tmp_path / "st", beta0=beta0)
+    assert not (tmp_path / "st").exists()
+
+
 def test_grid_cell_count():
     spec = GridSpec(parse_range("0:5:0.1"), parse_range("0:5:0.1"),
                     ("xlogx",))
@@ -171,6 +193,9 @@ def test_select_top_k(toy, tmp_path):
         records, "aic3")
     with pytest.raises(ValueError):
         select_top_k(records, "aic3", 99)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            select_top_k(records, "aic3", k)
 
 
 def test_export_heatmap(toy, tmp_path):
@@ -216,7 +241,9 @@ def test_staged_search(toy, tmp_path):
     final, records = staged_search(corpus, gold, "mdl2",
                                    alphas=(0.0, 0.3, 0.6), betas=(0.0, 0.3),
                                    out_dir=tmp_path / "st", beta0=0.3)
-    stage1 = [r for r in records if r.beta == 0.3 and r.stage is None]
+    # stage 1 swept alpha at beta0
+    assert [(r.alpha, r.beta) for r in records[:3]] == [(0.0, 0.3), (0.3, 0.3),
+                                                        (0.6, 0.3)]
     assert final.criteria["mdl2"] <= min(
         r.criteria["mdl2"] for r in records if r.alpha == final.alpha)
     # the final record came from the beta sweep at the stage-1 winner alpha
@@ -265,18 +292,32 @@ def test_ledger_roundtrip(toy, tmp_path):
     assert loaded[0].criteria == records[0].criteria
 
 
+def test_ledger_with_null_stage_field_loads(toy, tmp_path):
+    # ledgers written before RunRecord lost its always-null ``stage`` field
+    corpus, gold = toy
+    out = tmp_path / "g"
+    records = run_grid(corpus, gold, small_grid_spec(), out)
+    ledger = out / "runs.jsonl"
+    rows = [json.loads(line) for line in ledger.read_text().splitlines()]
+    ledger.write_text("".join(json.dumps({**row, "stage": None}) + "\n"
+                              for row in rows))
+    assert load_ledger(out) == records
+    resumed = run_grid(corpus, gold, small_grid_spec(), out)
+    assert resumed == records  # every cell counts as done
+    assert len(ledger.read_text().splitlines()) == len(records)
+
+
 def test_failed_cell_recorded_and_retried(toy, tmp_path, monkeypatch):
     import incseg.search as search_mod
     corpus, gold = toy
     out = tmp_path / "g"
     real = search_mod._execute_cell
 
-    def flaky(corpus_, gold_, options, out_dir, trace, kind, alpha, beta,
-              stage=None):
+    def flaky(corpus_, gold_, options, out_dir, trace, kind, alpha, beta):
         if alpha == 0.4 and beta == 0.0:
             raise RuntimeError("injected failure")
         return real(corpus_, gold_, options, out_dir, trace, kind, alpha,
-                    beta, stage)
+                    beta)
 
     monkeypatch.setattr(search_mod, "_execute_cell", flaky)
     records = run_grid(corpus, gold, small_grid_spec(), out)
