@@ -43,12 +43,12 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--punct-hard", action="store_true",
                    help="treat punctuation runs as hard boundaries")
     p.add_argument("--punct-set", default=None,
-                   help="characters to treat as punctuation "
-                        "(default: Unicode category P*)")
+                   help="characters whose runs are hard boundaries "
+                        "(default with --punct-hard: Unicode category P*)")
 
 
-def _add_learner_flags(p: argparse.ArgumentParser,
-                       with_penalty: bool = True) -> None:
+def _add_learner_flags(p: argparse.ArgumentParser, with_penalty: bool,
+                       traced: bool) -> None:
     if with_penalty:
         p.add_argument("--penalty", default="xlogx",
                        choices=tuple(_PENALTY_NAMES),
@@ -57,40 +57,46 @@ def _add_learner_flags(p: argparse.ArgumentParser,
                    help="longest candidate n-gram (2..4)")
     p.add_argument("--stop-at", type=int, default=None,
                    help="force stop after this many iterations")
-    p.add_argument("--trace-every", type=int, default=100)
+    if traced:
+        p.add_argument("--trace-every", type=int, default=100,
+                       help="iterations between trace records")
     p.add_argument("--eq3-literal-sign", action="store_true",
                    help="subtract the model-size term instead of adding it")
     p.add_argument("--paper-literal-stop", action="store_true",
                    help="stop as soon as an improving candidate exists")
 
 
+def _hard_punct(punct_set: str | None, punct_hard: bool,
+                text_path: str) -> set[str] | None:
+    """The characters whose runs are hard boundaries, for every command:
+    those of ``--punct-set``, else with ``--punct-hard`` the Unicode P*
+    characters of ``text_path``, else none."""
+    if punct_set is not None:
+        return set(punct_set)
+    if punct_hard:
+        return default_punctuation(
+            Path(text_path).read_text(encoding="utf-8"))
+    return None
+
+
 def _load_corpus(ns: argparse.Namespace):
-    punct = None
-    if ns.punct_hard:
-        if ns.punct_set is not None:
-            punct = set(ns.punct_set)
-        else:
-            punct = default_punctuation(
-                Path(ns.corpus).read_text(encoding="utf-8"))
-    return load_gold(ns.corpus, ns.format, hard_punct=punct)
+    return load_gold(ns.corpus, ns.format,
+                     hard_punct=_hard_punct(ns.punct_set, ns.punct_hard,
+                                            ns.corpus))
 
 
-def _learner_options(ns: argparse.Namespace, trace_mode="light",
-                     trace_boundaries=False) -> LearnerOptions:
+def _learner_options(ns: argparse.Namespace, **tracing) -> LearnerOptions:
     return LearnerOptions(
         n_max=ns.nmax,
         stop_at=ns.stop_at,
-        trace_interval=ns.trace_every,
-        trace_mode=trace_mode,
-        trace_boundaries=trace_boundaries,
         complexity_sign=-1 if ns.eq3_literal_sign else 1,
         literal_stop=ns.paper_literal_stop,
+        **tracing,
     )
 
 
-def _params(ns: argparse.Namespace, alpha=None, beta=None) -> PenaltyParams:
-    return PenaltyParams(alpha=ns.alpha if alpha is None else alpha,
-                         beta=ns.beta if beta is None else beta,
+def _params(ns: argparse.Namespace) -> PenaltyParams:
+    return PenaltyParams(alpha=ns.alpha, beta=ns.beta,
                          kind=_PENALTY_NAMES[ns.penalty])
 
 
@@ -115,10 +121,10 @@ def _write_manifest(target: Path, ns: argparse.Namespace,
 
 def _cmd_segment(ns: argparse.Namespace) -> int:
     corpus, gold = _load_corpus(ns)
-    trace_mode = "light" if ns.trace_out else "none"
-    options = _learner_options(ns, trace_mode=trace_mode,
-                               trace_boundaries=bool(ns.trace_out
-                                                     and ns.trace_snapshots))
+    options = _learner_options(
+        ns, trace_interval=ns.trace_every,
+        trace_mode="light" if ns.trace_out else "none",
+        trace_boundaries=bool(ns.trace_out and ns.trace_snapshots))
     result = _learner.run(corpus, _params(ns), options, gold=gold)
     write_segmentation(result.hypothesis.boundaries, corpus, ns.out)
     if ns.trace_out:
@@ -150,7 +156,7 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
     spec = _search.GridSpec(_search.parse_range(ns.alpha),
                             _search.parse_range(ns.beta), kinds)
     corpus, gold = _load_corpus(ns)
-    options = _learner_options(ns, trace_mode="none")
+    options = _learner_options(ns, trace_interval=ns.trace_every)
     records = _search.run_grid(corpus, gold, spec, ns.out, options=options,
                                jobs=ns.jobs, trace=ns.trace,
                                resume=not ns.no_resume)
@@ -165,7 +171,7 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
 
 def _cmd_staged(ns: argparse.Namespace) -> int:
     corpus, gold = _load_corpus(ns)
-    options = _learner_options(ns, trace_mode="none")
+    options = _learner_options(ns)
     final, _records = _search.staged_search(
         corpus, gold, ns.criterion, _search.parse_range(ns.alpha),
         _search.parse_range(ns.beta), ns.out, beta0=ns.beta0,
@@ -198,7 +204,7 @@ def _cmd_select(ns: argparse.Namespace) -> int:
 
 def _cmd_ensemble(ns: argparse.Namespace) -> int:
     loaded = [load_gold(p, ns.format,
-                        hard_punct=set(ns.punct_set) if ns.punct_set else None)
+                        hard_punct=_hard_punct(ns.punct_set, False, p))
               for p in ns.inputs]
     base_corpus, _ = loaded[0]
     stream = base_corpus.char_string()
@@ -217,10 +223,7 @@ def _cmd_ensemble(ns: argparse.Namespace) -> int:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    punct = set(ns.punct_set) if ns.punct_set else None
-    if ns.punct_hard and punct is None:
-        punct = default_punctuation(
-            Path(ns.gold).read_text(encoding="utf-8"))
+    punct = _hard_punct(ns.punct_set, ns.punct_hard, ns.gold)
     gold_corpus, gold = load_gold(ns.gold, ns.format, hard_punct=punct)
     hyp_corpus, hyp = load_gold(ns.hyp, ns.format, hard_punct=punct)
     if hyp_corpus.char_string() != gold_corpus.char_string():
@@ -349,7 +352,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("segment", help="run one compression segmentation")
     _add_corpus_flags(p)
-    _add_learner_flags(p)
+    _add_learner_flags(p, with_penalty=True, traced=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--out", default="segmented.txt")
@@ -360,7 +363,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("dump-lexicon", help="run and dump the learned lexicon")
     _add_corpus_flags(p)
-    _add_learner_flags(p)
+    _add_learner_flags(p, with_penalty=True, traced=False)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--out", default="lexicon.json")
@@ -368,7 +371,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("grid", help="grid search over alpha and beta")
     _add_corpus_flags(p)
-    _add_learner_flags(p, with_penalty=False)
+    _add_learner_flags(p, with_penalty=False, traced=True)
     p.add_argument("--alpha", default="0:5:0.1", help="lo:hi:step")
     p.add_argument("--beta", default="0:5:0.1", help="lo:hi:step")
     p.add_argument("--penalty", nargs="+", default=["xlogx"],
@@ -382,7 +385,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("staged", help="alpha sweep, then beta sweep")
     _add_corpus_flags(p)
-    _add_learner_flags(p, with_penalty=False)
+    _add_learner_flags(p, with_penalty=False, traced=False)
     p.add_argument("--penalty", default="xlogx", choices=tuple(_PENALTY_NAMES))
     p.add_argument("--alpha", required=True, help="lo:hi:step")
     p.add_argument("--beta", required=True, help="lo:hi:step")

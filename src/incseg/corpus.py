@@ -115,10 +115,6 @@ class GoldSegmentation:
         cuts = [0] + sorted(self.boundaries) + [self.n_chars]
         return [(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    def words(self, corpus: RawCorpus) -> list[str]:
-        s = corpus.char_string()
-        return [s[a:b] for a, b in self.word_spans()]
-
 
 def default_punctuation(text: str) -> set[str]:
     """Characters of the text in Unicode general category P*."""
@@ -228,19 +224,6 @@ def _split_blocks(
     return out, remap
 
 
-def apply_hard_boundaries(corpus: RawCorpus, punctuation: set[str]) -> RawCorpus:
-    """Turn every maximal punctuation run into a hard block separator.
-
-    Punctuation characters leave the segmentable stream and are restored
-    verbatim on output.  Gold segmentations derived from the original
-    corpus are not valid for the result; use ``load_gold(..., hard_punct=...)``
-    to keep corpus and gold coherent.
-    """
-    if not punctuation:
-        return corpus
-    return _split_blocks(corpus, punctuation)[0]
-
-
 def _apply_hard_with_gold(
     corpus: RawCorpus, gold: GoldSegmentation, punctuation: set[str]
 ) -> tuple[RawCorpus, GoldSegmentation]:
@@ -257,18 +240,16 @@ def write_segmentation(
     boundaries: Iterable[int],
     corpus: RawCorpus,
     path: str | Path,
-    sidecar: bool = True,
 ) -> None:
     """Write the segmented corpus and a JSON sidecar of boundary positions."""
     bl = sorted(set(boundaries))
     path = Path(path)
     path.write_text(corpus.render(bl), encoding="utf-8")
-    if sidecar:
-        meta = {
-            "n_chars": corpus.n_chars,
-            "n_blocks": len(corpus.blocks),
-            "boundaries": bl,
-        }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(meta), encoding="utf-8"
-        )
+    meta = {
+        "n_chars": corpus.n_chars,
+        "n_blocks": len(corpus.blocks),
+        "boundaries": bl,
+    }
+    path.with_suffix(path.suffix + ".json").write_text(
+        json.dumps(meta), encoding="utf-8"
+    )

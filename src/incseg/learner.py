@@ -7,7 +7,8 @@ compression would cause to
 
 and applies the minimizer while it is negative.  Live candidates sit in a
 columnar table (component ids and multiplicities, length, occurrence count,
-beta length term), kept in step with the candidate index's dirty sets.
+beta length term), kept in step with the counts the candidate index
+reports for the n-grams each merge touched.
 One vectorized function scores the whole table each iteration, with
 ``x ln x`` read from a table built by the scalar formula's own expression,
 so every score is the same float whichever path asks for it and exact ties
@@ -144,9 +145,10 @@ class LearnerState:
 
     Every live candidate owns a row of numpy columns: its distinct
     component ids with their multiplicities (padded to ``n_max`` slots),
-    its length, its occurrence count ``m`` (0 marks a free row) and its
-    beta length term, which never changes once the row exists.  Rows
-    follow the index's dirty sets; dead candidates' rows are reused.
+    its length, its greedy occurrence count ``m`` (0 marks a free row;
+    the index keeps no other copy) and its beta length term, which never
+    changes once the row exists.  Rows follow what the index's
+    ``consume_dirty`` reports; dead candidates' rows are reused.
     """
 
     def __init__(self, seq: TokenSequence, lex: Lexicon,
@@ -193,22 +195,23 @@ class LearnerState:
         return r
 
     def _sync(self, dead: Sequence[TokenTuple],
-              changed: Sequence[TokenTuple]) -> None:
-        """Free dead candidates' rows; add or refresh rows whose m changed."""
+              counts: dict[TokenTuple, int]) -> None:
+        """Free dead candidates' rows; add or refresh the rows of ``counts``,
+        the index's fresh greedy counts, which are stored only here."""
         row_of = self._row
         tuples = self._tuples
-        freed = [row_of.pop(t) for t in dead]
+        # a tuple born and killed between two flushes never got a row
+        freed = [row_of.pop(t) for t in dead if t in row_of]
         for r in freed:
             tuples[r] = None
         self._m[freed] = 0
         self._free.extend(freed)
-        index_m = self.index.m
         lengths = self.seq.lengths
         g = self._g
         slots = self.options.n_max
-        rows, ms = [], []
+        rows = []
         born, ids, mult, ns, gls = [], [], [], [], []
-        for t in changed:
+        for t in counts:
             r = row_of.get(t)
             if r is None:
                 r = self._new_row()
@@ -228,13 +231,12 @@ class LearnerState:
                 ns.append(len(t))
                 gls.append(g(whole) - parts)
             rows.append(r)
-            ms.append(index_m[t])
         if born:
             self._ids[:, born] = np.array(ids).T
             self._mult[:, born] = np.array(mult).T
             self._n[born] = ns
             self._gl[born] = gls
-        self._m[rows] = ms
+        self._m[rows] = list(counts.values())
 
     # -- scoring -------------------------------------------------------
 

@@ -8,6 +8,9 @@ n-grams inside blocks.
 
 Candidate occurrence counts follow greedy left-to-right non-overlapping
 semantics; substitution consumes exactly the occurrences that were counted.
+The index stores positions only: ``consume_dirty`` hands the counts of the
+n-grams whose positions changed to the learner's candidate table, which
+keeps the one copy of them.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ class LexEntry:
 
 
 class Lexicon:
-    """Token id -> definition; records the order compressions happened."""
+    """Token id -> definition; composed ids follow the base ids in the order
+    the compressions happened."""
 
     def __init__(self) -> None:
         self.entries: list[LexEntry] = []
-        self.creation_order: list[int] = []
 
     def define_base(self, surface: str) -> int:
         self.entries.append(LexEntry(surface))
@@ -42,18 +45,10 @@ class Lexicon:
             raise ValueError("composed entry needs >= 2 components")
         tid = len(self.entries)
         self.entries.append(LexEntry(surface, tuple(components)))
-        self.creation_order.append(tid)
         return tid
 
     def surface(self, tid: int) -> str:
         return self.entries[tid].surface
-
-    def expand(self, tid: int) -> str:
-        """Recursively expand an entry down to base characters."""
-        e = self.entries[tid]
-        if e.components is None:
-            return e.surface
-        return "".join(self.expand(c) for c in e.components)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -156,7 +151,6 @@ class CompressionDelta:
     """One applied compression: the new token and how many sites it took."""
 
     fresh_id: int
-    token: TokenTuple
     occurrences: int
 
 
@@ -164,10 +158,12 @@ class CandidateIndex:
     """Incrementally maintained position index of all within-block n-grams.
 
     For every n-gram (2 <= n <= n_max) present in the sequence, ``positions``
-    holds the start positions of its adjacent occurrences and ``m`` its
-    greedy non-overlapping count.  Mutations go through ``apply``, which
-    deregisters the n-grams overlapping each substitution site, merges the
-    site, and re-registers the n-grams of the new neighborhood.
+    holds the start positions of its adjacent occurrences.  Mutations go
+    through ``apply``, which deregisters the n-grams overlapping each
+    substitution site, merges the site, and re-registers the n-grams of the
+    new neighborhood.  ``consume_dirty`` then hands the greedy counts of the
+    n-grams whose positions changed to the learner's candidate table; the
+    index keeps no counts of its own.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
@@ -176,7 +172,6 @@ class CandidateIndex:
         self.seq = seq
         self.n_max = n_max
         self.positions: dict[TokenTuple, set[int]] = {}
-        self.m: dict[TokenTuple, int] = {}
         self.pos_dirty: set[TokenTuple] = set()
         for start in seq.block_starts:
             for p in seq.iter_positions(start):
@@ -226,21 +221,9 @@ class CandidateIndex:
         return any(t[d:] == t[:n - d] for d in range(1, n))
 
     def greedy_count(self, t: TokenTuple) -> int:
-        pos = self.positions[t]
         if not self._self_overlapping(t):
-            return len(pos)
-        nxt = self.seq.nxt
-        hops = len(t) - 1
-        count = 0
-        frontier = -1
-        for p in sorted(pos):
-            if p > frontier:
-                q = p
-                for _ in range(hops):
-                    q = nxt[q]
-                frontier = q
-                count += 1
-        return count
+            return len(self.positions[t])
+        return len(self._greedy_sites(t))
 
     def _greedy_sites(self, t: TokenTuple) -> list[list[int]]:
         nxt = self.seq.nxt
@@ -289,22 +272,21 @@ class CandidateIndex:
             for s0 in lctx:
                 self._register_at(s0)
             self._register_at(p1)
-        return CompressionDelta(fresh, t, len(sites))
+        return CompressionDelta(fresh, len(sites))
 
-    def consume_dirty(self) -> tuple[list[TokenTuple], list[TokenTuple]]:
+    def consume_dirty(self) -> tuple[list[TokenTuple],
+                                     dict[TokenTuple, int]]:
         """Flush the n-grams whose positions ``apply`` touched: returns
-        (tuples that died since the last flush, live tuples whose greedy
-        count was refreshed)."""
+        (tuples whose last position went since the last flush, each live
+        touched tuple -> its greedy count)."""
         pos_d = self.pos_dirty
         self.pos_dirty = set()
         dead: list[TokenTuple] = []
-        changed: list[TokenTuple] = []
+        counts: dict[TokenTuple, int] = {}
         for t in pos_d:
             if self.positions[t]:
-                self.m[t] = self.greedy_count(t)
-                changed.append(t)
+                counts[t] = self.greedy_count(t)
             else:
                 del self.positions[t]
-                if self.m.pop(t, None) is not None:  # else born and died
-                    dead.append(t)
-        return dead, changed
+                dead.append(t)
+        return dead, counts

@@ -134,7 +134,7 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
                   kind: str, alpha: float, beta: float) -> dict:
     t0 = time.perf_counter()
     params = PenaltyParams(alpha=alpha, beta=beta, kind=kind)
-    opts = replace(options, trace_mode="criteria") if trace else options
+    opts = replace(options, trace_mode="criteria" if trace else "none")
     result = _learner.run(corpus, params, opts, gold=gold)
     bounds = result.hypothesis.boundaries
     trace_rel = None
@@ -315,18 +315,20 @@ def staged_search(corpus: RawCorpus, gold: GoldSegmentation | None,
     """Sweep alpha at fixed beta0, fix the best alpha, then sweep beta.
 
     Both stages select by the same criterion; the stage-2 winner is the
-    final record.
+    final record.  Both stages share one ledger in ``out_dir``, so a
+    stage-2 cell that stage 1 ran is read back, not run again, and each
+    cell is returned once.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     GridSpec(tuple(alphas), (beta0, *betas), (kind,))  # checks every value
-    out = Path(out_dir)
     stage1 = run_grid(corpus, gold,
                       GridSpec(tuple(alphas), (round(beta0, 10),), (kind,)),
-                      out / "stage1", options=options, jobs=jobs)
+                      out_dir, options=options, jobs=jobs)
     best_alpha = select_family_minimum(stage1, criterion).alpha
     stage2 = run_grid(corpus, gold,
                       GridSpec((best_alpha,), tuple(betas), (kind,)),
-                      out / "stage2", options=options, jobs=jobs)
+                      out_dir, options=options, jobs=jobs)
     final = select_family_minimum(stage2, criterion)
-    return final, stage1 + stage2
+    ran = {r.key() for r in stage1}
+    return final, stage1 + [r for r in stage2 if r.key() not in ran]

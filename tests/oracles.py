@@ -219,6 +219,14 @@ def ngram_stats(seq, n):
     return NgramStats(n, dict(counts))
 
 
+def expand(lex, tid):
+    """Recursively expand a lexicon entry down to base characters."""
+    e = lex.entries[tid]
+    if e.components is None:
+        return e.surface
+    return "".join(expand(lex, c) for c in e.components)
+
+
 def verify_sequence(seq, lex, corpus=None):
     """Assert maintained statistics against a from-scratch recount."""
     recount = Counter()
@@ -233,7 +241,7 @@ def verify_sequence(seq, lex, corpus=None):
     conserved = sum(c * seq.lengths[t] for t, c in enumerate(seq.counts))
     assert conserved == seq.n_chars, (conserved, seq.n_chars)
     for tid in recount:
-        expanded = lex.expand(tid)
+        expanded = expand(lex, tid)
         assert expanded == lex.surface(tid)
         assert len(expanded) == seq.lengths[tid]
     if corpus is not None:

@@ -98,7 +98,7 @@ def test_grid_select_ensemble_eval_pipeline(corpus_file, tmp_path, capsys):
     for i, c in enumerate(chosen):
         bounds = load_boundaries(grid_dir / c["boundary_file"])
         p = tmp_path / f"seg{i}.txt"
-        write_segmentation(bounds, corpus, p, sidecar=False)
+        write_segmentation(bounds, corpus, p)
         seg_paths.append(str(p))
     rc = main(["ensemble", "--inputs", *seg_paths,
                "--out", str(tmp_path / "voted.txt")])
@@ -331,3 +331,47 @@ def test_select_rejects_top_below_one(corpus_file, tmp_path, capsys, top):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"incseg: error: k must be at least 1, got {top}"]
+
+
+@pytest.mark.parametrize("command", ["dump-lexicon", "staged"])
+def test_trace_every_only_on_traced_commands(corpus_file, tmp_path, capsys,
+                                             command):
+    out = tmp_path / "out"
+    argv = [command, str(corpus_file), "--out", str(out),
+            "--trace-every", "2"]
+    if command == "staged":
+        argv += ["--alpha", "0", "--beta", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("incseg: error: ")
+    assert not out.exists()
+
+
+def test_punct_set_alone_splits_blocks_in_every_command(tmp_path, capsys):
+    gold = tmp_path / "zh.txt"
+    gold.write_text("今天 天气 好 ， 我们 出去 玩 。\n好 的 ！\n",
+                    encoding="utf-8")
+    punct = ["--format", "sighan", "--punct-set", "，"]
+    seg = tmp_path / "seg.txt"
+    grid = tmp_path / "grid"
+    voted = tmp_path / "voted.txt"
+    assert main(["segment", str(gold), *punct, "--out", str(seg)]) == 0
+    assert main(["grid", str(gold), *punct, "--alpha", "0", "--beta", "0",
+                 "--out", str(grid)]) == 0
+    assert main(["ensemble", "--inputs", str(seg), str(gold), *punct,
+                 "--out", str(voted)]) == 0
+    manifests = [seg.with_suffix(".txt.manifest.json"),
+                 grid / "manifest.json",
+                 voted.with_suffix(".txt.manifest.json")]
+    blocks = [json.loads(m.read_text())["corpus"]["n_blocks"]
+              for m in manifests]
+    assert blocks == [3, 3, 3]
+    assert json.loads(seg.with_suffix(".txt.json").read_text())[
+        "n_blocks"] == 3
+    capsys.readouterr()
+    assert main(["eval", "--hyp", str(seg), "--gold", str(gold),
+                 *punct]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 <= report["token"]["f"] <= 100.0

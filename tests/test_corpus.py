@@ -4,18 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incseg.corpus import (CorpusError, apply_hard_boundaries,
-                           default_punctuation, load_gold,
+from incseg.corpus import (CorpusError, default_punctuation, load_gold,
                            write_segmentation)
 
 from conftest import make_corpus
+
+
+def words(corpus, gold):
+    s = corpus.char_string()
+    return [s[a:b] for a, b in gold.word_spans()]
 
 
 def test_brent_line(tmp_path):
     corpus, gold = make_corpus("yu want tu si D6 bUk\n", tmp_path=tmp_path)
     assert len(corpus.blocks) == 1
     assert corpus.n_chars == len("yuwanttusiD6bUk")
-    assert gold.words(corpus) == ["yu", "want", "tu", "si", "D6", "bUk"]
+    assert words(corpus, gold) == ["yu", "want", "tu", "si", "D6", "bUk"]
     assert len(gold.boundaries) == 5  # all internal; single block
 
 
@@ -23,7 +27,7 @@ def test_single_word_line(tmp_path):
     corpus, gold = make_corpus("a\n", tmp_path=tmp_path)
     assert corpus.n_chars == 1
     assert gold.boundaries == frozenset()
-    assert gold.words(corpus) == ["a"]
+    assert words(corpus, gold) == ["a"]
 
 
 def test_two_line_file(tmp_path):
@@ -74,8 +78,13 @@ def test_hard_boundaries_cjk_comma(tmp_path):
 
 
 def test_hard_boundaries_identity_without_punct(tmp_path):
-    corpus, _ = make_corpus("AB\n", tmp_path=tmp_path)
-    assert apply_hard_boundaries(corpus, set()) is corpus
+    text = "A，B\n"
+    plain, plain_gold = make_corpus(text, tmp_path=tmp_path)
+    for punct in (set(), {"。"}):
+        corpus, gold = make_corpus(text, tmp_path=tmp_path, hard_punct=punct)
+        assert corpus.blocks == plain.blocks
+        assert corpus.separators == plain.separators
+        assert gold == plain_gold
 
 
 def test_leading_punctuation_run(tmp_path):
@@ -127,14 +136,14 @@ def test_write_segmentation_roundtrip_gold(tmp_path):
 def test_write_no_boundaries_single_words(tmp_path):
     corpus, _ = make_corpus("a b\nc d\n", tmp_path=tmp_path)
     out = tmp_path / "out.txt"
-    write_segmentation(corpus.block_edges(), corpus, out, sidecar=False)
+    write_segmentation(corpus.block_edges(), corpus, out)
     assert out.read_text(encoding="utf-8") == "ab\ncd\n"
 
 
 def test_write_all_boundaries(tmp_path):
     corpus, _ = make_corpus("abc\n", tmp_path=tmp_path)
     out = tmp_path / "out.txt"
-    write_segmentation({1, 2}, corpus, out, sidecar=False)
+    write_segmentation({1, 2}, corpus, out)
     assert out.read_text(encoding="utf-8") == "a b c\n"
 
 

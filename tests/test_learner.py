@@ -31,6 +31,11 @@ def ids(corpus, s):
     return tuple(corpus.charmap.ids[c] for c in s)
 
 
+def table_m(state, t):
+    """The greedy count the scorer uses: the candidate table's only copy."""
+    return int(state._m[state._row[t]])
+
+
 # -- penalty -----------------------------------------------------------
 
 
@@ -143,7 +148,7 @@ def delta_oracle(corpus, state, t):
     """Full-recompute change for compressing t, on a throwaway copy."""
     seq2, lex2 = init_from_corpus(corpus)
     # replay history
-    for tid in state.lex.creation_order:
+    for tid in range(len(corpus.charmap), len(state.lex)):
         apply_compression(seq2, lex2, state.lex.entries[tid].components)
     before = penalized_likelihood(seq2, state.params,
                                   state.options.complexity_sign)
@@ -348,9 +353,9 @@ def test_selected_candidate_is_global_minimum(seed):
         universe = set()
         for n in range(2, n_max + 1):
             universe.update(ngram_stats(state.seq, n).counts)
-        assert set(state.index.positions) == universe
+        assert set(state.index.positions) == set(state._row) == universe
         for t in universe:
-            assert state.index.m[t] == count_occurrences(state.seq, t)
+            assert table_m(state, t) == count_occurrences(state.seq, t)
         floor = (min(oracle_delta_on_copy(state, t) for t in universe)
                  if universe else None)
         ev = step(state)
@@ -366,7 +371,7 @@ def scalar_score(state, t):
     vectorized table adds them: local part, then (X(after) - X(total))."""
     def xlx(x):
         return x * math.log(x) if x > 0 else 0.0
-    counts, m = state.seq.counts, state.index.m[t]
+    counts, m = state.seq.counts, table_m(state, t)
     acc = 0.0
     d_types = 1
     for w, r in Counter(t).items():
@@ -411,7 +416,9 @@ def test_step_takes_exact_tie_broken_minimum(seed, n_max):
         for t in index.positions:
             score = state.score_candidate(t)
             assert score == scalar_score(state, t), t
-            keyed.append((score, -index.m[t], index.first_position(t), t))
+            assert table_m(state, t) == count_occurrences(state.seq, t), t
+            keyed.append((score, -table_m(state, t), index.first_position(t),
+                          t))
         best = min(keyed, default=None)
         ev = step(state)
         if ev is None:
@@ -442,7 +449,7 @@ def test_exact_tie_on_benchmark_corpus_goes_to_first_position(tmp_path):
     early, late = live["yutitizewadawasukigoki"], live["kidasu6yuti"]
     for t, first in ((early, 25482), (late, 34639)):
         assert state.score_candidate(t) == -2.260745752730145
-        assert state.index.m[t] == 1
+        assert table_m(state, t) == 1
         assert state.index.first_position(t) == first
     ev = step(state)
     assert ev.iteration == 461 and ev.token == early

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from incseg.lexmodel import CandidateIndex, init_from_corpus
 
 from conftest import make_corpus, random_gold_text
-from oracles import (apply_compression, count_occurrences, ngram_stats,
-                     verify_sequence)
+from oracles import (apply_compression, count_occurrences, expand,
+                     ngram_stats, verify_sequence)
 
 
 def seq_for(text, tmp_path=None):
@@ -126,7 +126,7 @@ def test_expand_composed_chain():
     d1 = apply_compression(seq, lex, (a, b))
     d2 = apply_compression(seq, lex, (d1.fresh_id, c))
     assert lex.surface(d2.fresh_id) == "abc"
-    assert lex.expand(d2.fresh_id) == "abc"
+    assert expand(lex, d2.fresh_id) == "abc"
     assert seq.lengths[d2.fresh_id] == 3
     verify_sequence(seq, lex, corpus)
 
@@ -147,13 +147,15 @@ def test_index_matches_scan_counts():
         corpus, seq, lex = seq_for(text)
         n_max = rng.randint(2, 4)
         index = CandidateIndex(seq, n_max)
-        index.consume_dirty()
-        for t, m in index.m.items():
+        dead, counts = index.consume_dirty()
+        assert dead == []
+        for t, m in counts.items():
             assert m == count_occurrences(seq, t), (text, t)
-        # every possible n-gram with an occurrence is indexed
+        # every possible n-gram with an occurrence is indexed and counted
+        universe = set()
         for n in range(2, n_max + 1):
-            for t in ngram_stats(seq, n).counts:
-                assert t in index.positions
+            universe.update(ngram_stats(seq, n).counts)
+        assert set(index.positions) == set(counts) == universe
 
 
 def test_index_stays_exact_under_compressions():
@@ -164,17 +166,24 @@ def test_index_stays_exact_under_compressions():
         corpus, seq, lex = seq_for(text)
         n_max = rng.randint(2, 3)
         index = CandidateIndex(seq, n_max)
-        index.consume_dirty()
+        _, counts = index.consume_dirty()
         for _ in range(12):
             live = [t for t, s in index.positions.items() if s]
             if not live:
                 break
             t = rng.choice(sorted(live))
             index.apply(t, lex)
-            index.consume_dirty()
+            # a count kept only from what the flushes report stays exact,
+            # so every tuple whose count changed was reported
+            dead, fresh = index.consume_dirty()
+            for u in dead:
+                assert u not in index.positions and u not in fresh
+                counts.pop(u, None)  # absent if born and killed in one apply
+            counts.update(fresh)
             verify_sequence(seq, lex, corpus)
             # recount every candidate from scratch
-            for u, m in index.m.items():
+            assert set(counts) == set(index.positions)
+            for u, m in counts.items():
                 assert m == count_occurrences(seq, u)
             for n in range(2, n_max + 1):
                 stats = ngram_stats(seq, n)

@@ -9,6 +9,8 @@ from incseg.search import (GridSpec, RunRecord, export_heatmap, load_boundaries,
                            select_family_minimum, select_top_k, staged_search,
                            save_boundaries, write_heatmap_csv)
 
+from incseg.learner import LearnerOptions
+
 from conftest import make_corpus, toy_text
 
 
@@ -142,6 +144,28 @@ def test_traced_cell_scores_final_boundaries_once(toy, tmp_path,
                             for cid, cv in real(corpus, bounds).items()}
 
 
+@pytest.mark.parametrize("trace, mode", [(False, "none"),
+                                         (True, "criteria")])
+def test_cell_trace_mode_follows_trace_alone(toy, tmp_path, monkeypatch,
+                                             trace, mode):
+    import incseg.learner as learner_mod
+    corpus, gold = toy
+    seen = []
+    real = learner_mod.run
+
+    def spy(corpus_, params, options, gold=None):
+        seen.append(options.trace_mode)
+        return real(corpus_, params, options, gold=gold)
+
+    monkeypatch.setattr(learner_mod, "run", spy)
+    spec = GridSpec((0.0,), (0.0,), ("xlogx",))
+    for i, options in enumerate((None, LearnerOptions(trace_mode="light"),
+                                 LearnerOptions(trace_mode="criteria"))):
+        run_grid(corpus, gold, spec, tmp_path / f"g{i}", options=options,
+                 trace=trace)
+    assert seen == [mode] * 3
+
+
 def test_grid_parallel_matches_serial(toy, tmp_path):
     corpus, gold = toy
     serial = run_grid(corpus, gold, small_grid_spec(), tmp_path / "s")
@@ -253,11 +277,37 @@ def test_staged_search(toy, tmp_path):
                       tmp_path / "st2")
 
 
+def test_staged_runs_each_cell_once(toy, tmp_path, monkeypatch):
+    import incseg.learner as learner_mod
+    corpus, gold = toy
+    ran = []
+    real = learner_mod.run
+
+    def counted(corpus_, params, options, gold=None):
+        ran.append((params.kind, params.alpha, params.beta))
+        return real(corpus_, params, options, gold=gold)
+
+    monkeypatch.setattr(learner_mod, "run", counted)
+    final, records = staged_search(corpus, gold, "mdl2",
+                                   alphas=(0.0, 0.3, 0.6), betas=(0.0, 0.3),
+                                   out_dir=tmp_path / "st", beta0=0.3)
+    keys = [r.key() for r in records]
+    assert len(ran) == 4 and sorted(ran) == sorted(keys)
+    assert len(set(keys)) == 4
+    # the same final as a stage 2 that reruns the stage-1 winner's cell
+    assert final.alpha == select_family_minimum(records[:3], "mdl2").alpha
+    stage2 = [r for r in records if r.alpha == final.alpha]
+    assert {r.beta for r in stage2} == {0.0, 0.3}
+    assert final == select_family_minimum(stage2, "mdl2")
+    assert (tmp_path / "st" / final.boundary_file).exists()
+
+
 def test_staged_degenerate_single_point(toy, tmp_path):
     corpus, gold = toy
     final, records = staged_search(corpus, gold, "mdl2", (0.2,), (0.2,),
                                    tmp_path / "st3", beta0=0.2)
     assert final.alpha == 0.2 and final.beta == 0.2
+    assert records == [final]  # stage 2 has no cell of its own to run
 
 
 def test_boundary_file_roundtrip(tmp_path):
