@@ -12,7 +12,6 @@ Example:
 """
 
 import argparse
-import json
 import time
 from pathlib import Path
 
@@ -21,8 +20,8 @@ from incseg.criteria import CRITERIA
 from incseg.ensemble import majority_vote
 from incseg.learner import LearnerOptions, PenaltyParams, run
 from incseg.metrics import correlation_report, evaluate_segmentation
-from incseg.search import (GridSpec, load_boundaries, run_grid,
-                           select_family_minimum, select_top_k)
+from incseg.search import (GridSpec, correlation_rows, load_boundaries,
+                           run_grid, select_family_minimum, select_top_k)
 
 
 def fmt_row(label, value, alpha, beta, rep):
@@ -92,18 +91,10 @@ def main() -> None:
             rep = evaluate_segmentation(corpus, gold, voted)
             print(fmt_row(f"{crit} top-{args.top} vote", "-", "-", "-", rep))
 
-        rows = []
-        for r in records:
-            rows.append({"token_f": r.metrics["token"]["f"], **r.criteria})
+        rows = correlation_rows(out / kind, "outputs")
         out_rho = correlation_report(rows, CRITERIA, "outputs",
                                      with_scatter=False).rho
-        rows = []
-        for r in records:
-            for line in (out / kind / r.trace_file).open(encoding="utf-8"):
-                row = json.loads(line)
-                if row.get("criteria") and row.get("token_f") is not None:
-                    rows.append({"token_f": row["token_f"],
-                                 **row["criteria"]})
+        rows = correlation_rows(out / kind, "trace")
         trace_rho = correlation_report(rows, CRITERIA, "trace",
                                        with_scatter=False).rho
         print("\nSpearman rho vs token F   " +

@@ -58,8 +58,9 @@ def _add_learner_flags(p: argparse.ArgumentParser, with_penalty: bool,
     p.add_argument("--stop-at", type=int, default=None,
                    help="force stop after this many iterations")
     if traced:
-        p.add_argument("--trace-every", type=int, default=100,
-                       help="iterations between trace records")
+        p.add_argument("--trace-every", type=int, default=None,
+                       help="iterations between trace records (default "
+                            f"{LearnerOptions.trace_interval})")
     p.add_argument("--eq3-literal-sign", action="store_true",
                    help="subtract the model-size term instead of adding it")
     p.add_argument("--paper-literal-stop", action="store_true",
@@ -242,28 +243,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(ns: argparse.Namespace) -> int:
-    out_dir = Path(ns.ledger)
-    records = _search.load_ledger(out_dir)
-    if not records:
-        raise RuntimeError(f"no records in {ns.ledger}")
-    rows = []
-    if ns.population == "outputs":
-        for r in records:
-            if r.metrics is None:
-                raise RuntimeError("records lack gold metrics")
-            rows.append({"token_f": r.metrics["token"]["f"], **r.criteria})
-    else:
-        for r in records:
-            if not r.trace_file:
-                continue
-            with (out_dir / r.trace_file).open(encoding="utf-8") as fh:
-                for line in fh:
-                    row = json.loads(line)
-                    if row.get("criteria") and row.get("token_f") is not None:
-                        rows.append({"token_f": row["token_f"],
-                                     **row["criteria"]})
-        if not rows:
-            raise RuntimeError("no traced snapshots found; run grid --trace")
+    rows = _search.correlation_rows(ns.ledger, ns.population)
     rep = _metrics.correlation_report(rows, list(_criteria.CRITERIA),
                                       ns.population)
     print(f"population={rep.population} n={rep.n}")
@@ -308,7 +288,8 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _config_defaults(parser: argparse.ArgumentParser, argv: list[str],
+def _config_defaults(parser: argparse.ArgumentParser,
+                     command: argparse.ArgumentParser, argv: list[str],
                      ns: argparse.Namespace) -> dict:
     """The config file's entries, typed and checked as flags of the command.
 
@@ -322,20 +303,20 @@ def _config_defaults(parser: argparse.ArgumentParser, argv: list[str],
         cfg = _read_config(ns.config)
     except (CorpusError, OSError) as e:
         parser.error(str(e))
-    flags = vars(ns).keys() - {"command", "func", "config"}
+    actions = {a.dest: a for a in command._actions
+               if a.dest not in ("help", "config")}
     words: list[str] = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if key not in flags:
+        if key not in actions:
             parser.error(f"{ns.config}: {flag} is not a flag of {ns.command}")
-        current = getattr(ns, key)
-        if isinstance(current, bool):
+        if actions[key].nargs == 0:
             on = _SWITCH_VALUES.get(value.lower())
             if on is None:
                 parser.error(f"{ns.config}: {flag} must be true or false, "
                              f"got {value!r}")
             words += [flag] if on else []
-        elif isinstance(current, list):
+        elif actions[key].nargs == "+":
             words += [flag, *value.split()]
         else:
             words.append(f"{flag}={value}")
@@ -448,11 +429,26 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
+    # a required flag may come from --config, so it is checked after that
+    required = {a: name for name, sp in commands.items()
+                for a in sp._actions if a.required and a.option_strings}
+    for a in required:
+        a.required = False
     ns = parser.parse_args(argv)
+    command = commands[ns.command]
     if ns.config is not None:
-        commands[ns.command].set_defaults(
-            **_config_defaults(parser, argv, ns))
+        command.set_defaults(**_config_defaults(parser, command, argv, ns))
         ns = parser.parse_args(argv)
+    missing = [a.option_strings[0] for a, name in required.items()
+               if name == ns.command and getattr(ns, a.dest) is None]
+    if missing:
+        parser.error(f"the following arguments are required: "
+                     f"{', '.join(missing)}")
+    traced_by = {"segment": "--trace-out", "grid": "--trace"}.get(ns.command)
+    if traced_by and ns.trace_every is None:
+        ns.trace_every = LearnerOptions.trace_interval
+    elif traced_by and not getattr(ns, traced_by[2:].replace("-", "_")):
+        parser.error(f"--trace-every needs {traced_by}")
     try:
         return ns.func(ns)
     except (CorpusError, RuntimeError, ValueError, OSError) as e:

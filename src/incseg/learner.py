@@ -5,14 +5,12 @@ compression would cause to
 
     nll(unigram ML) + sign * (types/2) * ln N + penalty
 
-and applies the minimizer while it is negative.  Live candidates sit in a
-columnar table (component ids and multiplicities, length, occurrence count,
-beta length term), kept in step with the counts the candidate index
-reports for the n-grams each merge touched.
-One vectorized function scores the whole table each iteration, with
-``x ln x`` read from a table built by the scalar formula's own expression,
-so every score is the same float whichever path asks for it and exact ties
-fall to the largest count, then the first position.
+and applies the minimizer while it is negative.  Candidates are the
+candidate index's n-gram ids.  One vectorized function scores them all
+each iteration, with ``x ln x`` read from a table built by the scalar
+formula's own expression, so every score is the same float whichever path
+asks for it and exact ties fall to the largest count, then the first
+position.
 """
 
 from __future__ import annotations
@@ -70,9 +68,11 @@ class LearnerOptions:
     trace_boundaries: bool = False
     complexity_sign: int = 1           # -1: read the model-size term literally
     literal_stop: bool = False         # stop on improvement, as printed
-    validate_every: int = 0            # 0 = off; else audit objective every K
 
     def __post_init__(self) -> None:
+        if self.trace_interval < 1:
+            raise ValueError("trace interval must be at least 1, got "
+                             f"{self.trace_interval}")
         if self.trace_mode not in ("none", "light", "criteria"):
             raise ValueError("trace_mode must be none|light|criteria")
         if self.complexity_sign not in (1, -1):
@@ -143,12 +143,11 @@ def penalized_likelihood(seq: TokenSequence, params: PenaltyParams,
 class LearnerState:
     """One in-progress compression run: sequence, lexicon, candidate table.
 
-    Every live candidate owns a row of numpy columns: its distinct
-    component ids with their multiplicities (padded to ``n_max`` slots),
-    its length, its greedy occurrence count ``m`` (0 marks a free row;
-    the index keeps no other copy) and its beta length term, which never
-    changes once the row exists.  Rows follow what the index's
-    ``consume_dirty`` reports; dead candidates' rows are reused.
+    The table's rows are the index's n-gram ids.  A row holds the n-gram's
+    distinct component ids with their multiplicities (padded to ``n_max``
+    slots), its length and its beta length term, filled when the id is
+    born and unchanged while it lives.  The greedy count ``m`` is read from
+    the index; a free id has m 0 and scores inf.
     """
 
     def __init__(self, seq: TokenSequence, lex: Lexicon,
@@ -170,73 +169,44 @@ class LearnerState:
         xs = range(1, seq.n_chars + 1)
         self._xlx = np.fromiter(chain((0.0,), map(mul, xs, map(log, xs))),
                                 np.float64, seq.n_chars + 1)
-        self._row: dict[TokenTuple, int] = {}
-        self._tuples: list[TokenTuple | None] = []
-        self._free: list[int] = []
         self._ids = np.zeros((self.options.n_max, 0), np.int64)
         self._mult = np.zeros((self.options.n_max, 0), np.int64)
         self._n = np.zeros(0, np.int64)
-        self._m = np.zeros(0, np.int64)
         self._gl = np.zeros(0, np.float64)
-        self._sync(*self.index.consume_dirty())
+        self._sync(self.index.consume_dirty()[1])
 
     # -- candidate table -----------------------------------------------
 
-    def _new_row(self) -> int:
-        if self._free:
-            return self._free.pop()
-        r = len(self._tuples)
-        self._tuples.append(None)
-        if r == len(self._m):  # full: double every column, zero-filled
-            for name in ("_ids", "_mult", "_n", "_m", "_gl"):
+    def _sync(self, born: Sequence[int]) -> None:
+        """Fill the static columns of the ids born since the last flush."""
+        grow = len(self.index.m) - len(self._n)
+        if grow:  # the index grew: grow every column alike, zero-filled
+            for name in ("_ids", "_mult", "_n", "_gl"):
                 col = getattr(self, name)
-                grow = [(0, 0)] * (col.ndim - 1) + [(0, max(1024, r))]
-                setattr(self, name, np.pad(col, grow))
-        return r
-
-    def _sync(self, dead: Sequence[TokenTuple],
-              counts: dict[TokenTuple, int]) -> None:
-        """Free dead candidates' rows; add or refresh the rows of ``counts``,
-        the index's fresh greedy counts, which are stored only here."""
-        row_of = self._row
-        tuples = self._tuples
-        # a tuple born and killed between two flushes never got a row
-        freed = [row_of.pop(t) for t in dead if t in row_of]
-        for r in freed:
-            tuples[r] = None
-        self._m[freed] = 0
-        self._free.extend(freed)
+                setattr(self, name, np.pad(
+                    col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
+        tuples = self.index.tuples
         lengths = self.seq.lengths
         g = self._g
         slots = self.options.n_max
-        rows = []
-        born, ids, mult, ns, gls = [], [], [], [], []
-        for t in counts:
-            r = row_of.get(t)
-            if r is None:
-                r = self._new_row()
-                row_of[t] = r
-                tuples[r] = t
-                comp: dict[int, int] = {}
-                whole = 0
-                parts = 0.0
-                for w in t:
-                    comp[w] = comp.get(w, 0) + 1
-                    whole += lengths[w]
-                    parts += g(lengths[w])
-                pad = [0] * (slots - len(comp))
-                born.append(r)
-                ids.append([*comp, *pad])
-                mult.append([*comp.values(), *pad])
-                ns.append(len(t))
-                gls.append(g(whole) - parts)
-            rows.append(r)
-        if born:
-            self._ids[:, born] = np.array(ids).T
-            self._mult[:, born] = np.array(mult).T
-            self._n[born] = ns
-            self._gl[born] = gls
-        self._m[rows] = list(counts.values())
+        ids, mult, gls = [], [], []
+        for i in born:
+            t = tuples[i]
+            comp: dict[int, int] = {}
+            whole = 0
+            parts = 0.0
+            for w in t:
+                comp[w] = comp.get(w, 0) + 1
+                whole += lengths[w]
+                parts += g(lengths[w])
+            pad = [0] * (slots - len(comp))
+            ids.append([*comp, *pad])
+            mult.append([*comp.values(), *pad])
+            gls.append(g(whole) - parts)
+        self._ids[:, born] = np.array(ids).T
+        self._mult[:, born] = np.array(mult).T
+        self._n[born] = [len(tuples[i]) for i in born]
+        self._gl[born] = gls
 
     # -- scoring -------------------------------------------------------
 
@@ -250,7 +220,7 @@ class LearnerState:
         """
         xlx = self._xlx
         counts = np.array(self.seq.counts, np.int64)
-        m = self._m[rows]
+        m = self.index.m[rows]
         n = self._n[rows]
         acc = 0.0
         lost = 0                        # components whose count drops to 0
@@ -269,39 +239,37 @@ class LearnerState:
         out += xlx[total - m * (n - 1)] - xlx[total]
         return np.where(m > 0, out, np.inf)
 
-    def _select(self) -> tuple[float, int, TokenTuple] | None:
-        """Exact minimizer: lowest score, then largest m, then the lowest
-        (first position, tuple)."""
-        scores = self._scores(slice(0, len(self._tuples)))
+    def _select(self) -> tuple[float, int, int] | None:
+        """Exact minimizer's (score, m, id): lowest score, then largest m,
+        then the lowest (first position, n-gram)."""
+        index = self.index
+        scores = self._scores(slice(0, len(index.tuples)))
         best = scores.min(initial=np.inf)
         if best == np.inf:
             return None
         tied = np.flatnonzero(scores == best)
-        m = self._m[tied]
+        m = index.m[tied]
         top = m.max()
-        tied = [self._tuples[r] for r in tied[m == top]]
-        t = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda u: (self.index.first_position(u), u))
-        return float(best), int(top), t
+        tied = tied[m == top].tolist()
+        i = tied[0] if len(tied) == 1 else min(
+            tied, key=lambda j: (index.first_position(j), index.tuples[j]))
+        return float(best), int(top), i
 
     def score_candidate(self, s: Sequence[int]) -> float:
         """Exact objective change if ``s`` were compressed now."""
-        t = tuple(s)
-        r = self._row.get(t)
-        if r is None:
-            raise ValueError(f"{t} is not a live candidate")
-        return float(self._scores([r])[0])
+        i = self.index.id_of(tuple(s))
+        if i is None:
+            raise ValueError(f"{tuple(s)} is not a live candidate")
+        return float(self._scores([i])[0])
 
     # -- stepping ------------------------------------------------------
 
-    def _apply(self, t: TokenTuple, delta: float) -> CompressionEvent:
-        cd = self.index.apply(t, self.lex)
+    def _apply(self, i: int, delta: float) -> CompressionEvent:
+        t = self.index.tuples[i]
+        cd = self.index.apply(i, self.lex)
         self.objective += delta
         self.iteration += 1
-        self._sync(*self.index.consume_dirty())
-        opts = self.options
-        if opts.validate_every and self.iteration % opts.validate_every == 0:
-            self.check_objective()
+        self._sync(self.index.consume_dirty()[1])
         return CompressionEvent(self.iteration, t, cd.fresh_id,
                                 cd.occurrences, delta, self.objective)
 
@@ -328,13 +296,13 @@ def step(state: LearnerState) -> CompressionEvent | None:
     found = state._select()
     if found is None:
         return None
-    delta, _, t = found
+    delta, _, i = found
     if state.options.literal_stop:
         if delta < 0:
             return None
     elif delta >= 0:
         return None
-    return state._apply(t, delta)
+    return state._apply(i, delta)
 
 
 def run(corpus: RawCorpus, params: PenaltyParams,
@@ -356,8 +324,8 @@ def run(corpus: RawCorpus, params: PenaltyParams,
         ev = step(state)
         if ev is None:
             break
-        iv = options.trace_interval
-        if options.trace_mode != "none" and iv > 0 and ev.iteration % iv == 0:
+        if (options.trace_mode != "none"
+                and ev.iteration % options.trace_interval == 0):
             state.trace.append(_trace_record(state, corpus, gold))
     if options.trace_mode != "none" and (
             not state.trace or state.trace[-1].iteration != state.iteration):

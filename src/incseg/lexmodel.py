@@ -1,22 +1,16 @@
-"""Evolving token sequence, lexicon, and incremental n-gram bookkeeping.
+"""Evolving token sequence, lexicon, and the candidate n-gram index.
 
-The sequence is stored as a doubly linked list over the original character
-positions: merging a span keeps its leftmost position alive and unlinks the
-rest, so a live position doubles as the global character offset where its
-token starts.  Links never cross block edges, which is what keeps candidate
-n-grams inside blocks.
-
-Candidate occurrence counts follow greedy left-to-right non-overlapping
-semantics; substitution consumes exactly the occurrences that were counted.
-The index stores positions only: ``consume_dirty`` hands the counts of the
-n-grams whose positions changed to the learner's candidate table, which
-keeps the one copy of them.
+Candidate counts follow greedy left-to-right non-overlapping semantics; a
+compression consumes exactly the occurrences that were counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .corpus import RawCorpus
 
@@ -30,15 +24,11 @@ class LexEntry:
 
 
 class Lexicon:
-    """Token id -> definition; composed ids follow the base ids in the order
-    the compressions happened."""
+    """Token id -> definition: the base characters, then the composed ids in
+    the order the compressions happened."""
 
-    def __init__(self) -> None:
-        self.entries: list[LexEntry] = []
-
-    def define_base(self, surface: str) -> int:
-        self.entries.append(LexEntry(surface))
-        return len(self.entries) - 1
+    def __init__(self, chars: Iterable[str] = ()) -> None:
+        self.entries: list[LexEntry] = [LexEntry(ch) for ch in chars]
 
     def define(self, components: TokenTuple, surface: str) -> int:
         if len(components) < 2:
@@ -54,59 +44,57 @@ class Lexicon:
         return len(self.entries)
 
 
+@dataclass(slots=True, eq=False)
 class TokenSequence:
-    """Per-block token lists with maintained counts, total, and lengths."""
+    """Tokens over the original character positions, with maintained
+    counts, total, and lengths.
 
-    __slots__ = ("tok", "nxt", "prv", "counts", "lengths", "total", "n_chars",
-                 "block_starts")
+    ``tok[p]`` is the token that starts at character p, or -1 once a merge
+    swallowed p; ``nxt``/``prv`` link each block's live positions and hold
+    -1 at block edges, so no link, and no candidate n-gram, crosses one.
+    A merge keeps the leftmost position of its span, so a live position is
+    also the character offset where its token starts."""
 
-    def __init__(self, tok, nxt, prv, counts, lengths, total, n_chars,
-                 block_starts):
-        self.tok: list[int] = tok
-        self.nxt: list[int] = nxt
-        self.prv: list[int] = prv
-        self.counts: list[int] = counts
-        self.lengths: list[int] = lengths
-        self.total: int = total
-        self.n_chars: int = n_chars
-        self.block_starts: list[int] = block_starts
+    tok: np.ndarray
+    nxt: np.ndarray
+    prv: np.ndarray
+    counts: list[int]
+    lengths: list[int]
+    total: int
+    n_chars: int
+    block_starts: list[int]
 
     def new_token(self, length: int) -> int:
         self.counts.append(0)
         self.lengths.append(length)
         return len(self.counts) - 1
 
-    def merge_site(self, positions: Sequence[int], fresh: int) -> None:
-        """Collapse one occurrence (given live positions) into ``fresh``."""
-        tok, nxt, prv, counts = self.tok, self.nxt, self.prv, self.counts
-        for p in positions:
-            counts[tok[p]] -= 1
-        counts[fresh] += 1
-        self.total -= len(positions) - 1
-        p1 = positions[0]
-        pn = positions[-1]
-        tok[p1] = fresh
-        after = nxt[pn]
-        nxt[p1] = after
-        if after != -1:
-            prv[after] = p1
-
-    def iter_positions(self, start: int) -> Iterator[int]:
-        p = start
-        nxt = self.nxt
-        while p != -1:
-            yield p
-            p = nxt[p]
+    def merge(self, sites: np.ndarray, fresh: int) -> None:
+        """Collapse each row of ``sites``, the live positions of one
+        occurrence of the same n-gram (rows pairwise disjoint), into
+        ``fresh``."""
+        tok, nxt = self.tok, self.nxt
+        k, n = sites.shape
+        for w in tok[sites[0]].tolist():
+            self.counts[w] -= k
+        self.counts[fresh] += k
+        self.total -= k * (n - 1)
+        starts = sites[:, 0]
+        after = nxt[sites[:, -1]]
+        tok[sites[:, 1:]] = -1
+        tok[starts] = fresh
+        nxt[starts] = after
+        linked = after != -1
+        self.prv[after[linked]] = starts[linked]
 
     def to_blocks(self) -> list[list[int]]:
-        return [[self.tok[p] for p in self.iter_positions(s)]
-                for s in self.block_starts]
+        live = np.flatnonzero(self.tok >= 0)
+        cuts = np.searchsorted(live, self.block_starts[1:])
+        return [b.tolist() for b in np.split(self.tok[live], cuts)]
 
     def boundary_set(self) -> set[int]:
         """All word-boundary character positions, block edges included."""
-        out: set[int] = set()
-        for s in self.block_starts:
-            out.update(self.iter_positions(s))
+        out = set(np.flatnonzero(self.tok >= 0).tolist())
         out.discard(0)
         return out
 
@@ -121,29 +109,18 @@ class TokenSequence:
 def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     """Character-level starting state: one token per character."""
     n_base = len(corpus.charmap)
-    tok: list[int] = []
-    nxt: list[int] = []
-    prv: list[int] = []
-    starts: list[int] = []
-    for block in corpus.blocks:
-        base = len(tok)
-        starts.append(base)
-        last = base + len(block) - 1
-        for j, cid in enumerate(block):
-            p = base + j
-            tok.append(cid)
-            prv.append(p - 1 if p > base else -1)
-            nxt.append(p + 1 if p < last else -1)
-    counts = [0] * n_base
-    for t in tok:
-        counts[t] += 1
-    lengths = [1] * n_base
-    seq = TokenSequence(tok, nxt, prv, counts, lengths, len(tok), len(tok),
-                        starts)
-    lex = Lexicon()
-    for ch in corpus.charmap.chars:
-        lex.define_base(ch)
-    return seq, lex
+    lens = np.array([len(b) for b in corpus.blocks], np.int64)
+    n = int(lens.sum())
+    tok = np.fromiter(chain.from_iterable(corpus.blocks), np.int64, n)
+    starts = np.cumsum(lens) - lens
+    nxt = np.arange(1, n + 1, dtype=np.int64)
+    nxt[starts + lens - 1] = -1
+    prv = np.arange(-1, n - 1, dtype=np.int64)
+    prv[starts] = -1
+    counts = np.bincount(tok, minlength=n_base).tolist()
+    seq = TokenSequence(tok, nxt, prv, counts, [1] * n_base, n, n,
+                        starts.tolist())
+    return seq, Lexicon(corpus.charmap.chars)
 
 
 @dataclass
@@ -155,15 +132,15 @@ class CompressionDelta:
 
 
 class CandidateIndex:
-    """Incrementally maintained position index of all within-block n-grams.
+    """Every within-block n-gram (2 <= n <= n_max) of the sequence, by id.
 
-    For every n-gram (2 <= n <= n_max) present in the sequence, ``positions``
-    holds the start positions of its adjacent occurrences.  Mutations go
-    through ``apply``, which deregisters the n-grams overlapping each
-    substitution site, merges the site, and re-registers the n-grams of the
-    new neighborhood.  ``consume_dirty`` then hands the greedy counts of the
-    n-grams whose positions changed to the learner's candidate table; the
-    index keeps no counts of its own.
+    ``gram[n][p]`` is the id of the n-gram that starts at position p, or -1.
+    An id is interned from (id of its first n-1 tokens, its last token) as
+    one packed int64 key, a bigram's first token standing for the prefix
+    id.  ``tuples[i]`` is id i's n-gram (None while i is free) and ``m[i]``
+    its greedy occurrence count, the only copy there is.  An id is freed
+    when its last occurrence goes and is then reused; a prefix never dies
+    before its extensions, so no live key names a reused id.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
@@ -171,122 +148,146 @@ class CandidateIndex:
             raise ValueError("n_max must be in 2..4")
         self.seq = seq
         self.n_max = n_max
-        self.positions: dict[TokenTuple, set[int]] = {}
-        self.pos_dirty: set[TokenTuple] = set()
-        for start in seq.block_starts:
-            for p in seq.iter_positions(start):
-                self._register_at(p)
+        self.orders = range(2, n_max + 1)
+        self.gram = {n: np.full(len(seq.tok), -1, np.int64)
+                     for n in self.orders}
+        self.tuples: list[TokenTuple | None] = []
+        self.m = np.zeros(1024, np.int64)
+        self._overlaps = np.zeros(1024, bool)   # self-overlapping n-gram
+        self._ids: dict[int, dict[int, int]] = {n: {} for n in self.orders}
+        self._key: list[int] = []               # id -> its packed key
+        self._free: list[int] = []
+        self._freed: list[int] = []
+        self._born: list[int] = []
+        self._settle(self._register(np.flatnonzero(seq.tok >= 0)))
 
-    # -- registration ------------------------------------------------
+    def _intern(self, n: int, key: int) -> int:
+        head, last = key >> 32, key & 0xFFFFFFFF
+        t = (head, last) if n == 2 else (*self.tuples[head], last)
+        if self._free:
+            i = self._free.pop()
+            self.tuples[i] = t
+            self._key[i] = key
+        else:
+            i = len(self.tuples)
+            self.tuples.append(t)
+            self._key.append(key)
+            if i == len(self.m):
+                self.m = np.pad(self.m, (0, i))
+                self._overlaps = np.pad(self._overlaps, (0, i))
+        self._overlaps[i] = any(t[d:] == t[:n - d] for d in range(1, n))
+        self._ids[n][key] = i
+        self._born.append(i)
+        return i
 
-    def _register_at(self, p: int) -> None:
-        seq = self.seq
-        tok, nxt = seq.tok, seq.nxt
-        t = [tok[p]]
-        q = p
-        for _ in range(self.n_max - 1):
+    def _register(self, pos: np.ndarray) -> list[np.ndarray]:
+        """Intern and count the n-grams starting at live positions ``pos``;
+        returns the ids met, per order."""
+        tok, nxt = self.seq.tok, self.seq.nxt
+        head, q = tok[pos], pos
+        met = []
+        for n in self.orders:
             q = nxt[q]
-            if q == -1:
-                break
-            t.append(tok[q])
-            key = tuple(t)
-            posset = self.positions.get(key)
-            if posset is None:
-                posset = set()
-                self.positions[key] = posset
-            posset.add(p)
-            self.pos_dirty.add(key)
+            ok = q != -1
+            pos, q = pos[ok], q[ok]
+            keys, inv, cnt = np.unique(head[ok] << 32 | tok[q],
+                                       return_inverse=True, return_counts=True)
+            table = self._ids[n]
+            ids = np.array([table[k] if k in table else self._intern(n, k)
+                            for k in keys.tolist()], np.int64)
+            self.m[ids] += cnt
+            head = ids[inv]
+            self.gram[n][pos] = head
+            met.append(ids)
+        return met
 
-    def _deregister_at(self, p: int) -> None:
-        seq = self.seq
-        tok, nxt = seq.tok, seq.nxt
-        t = [tok[p]]
-        q = p
-        for _ in range(self.n_max - 1):
-            q = nxt[q]
-            if q == -1:
-                break
-            t.append(tok[q])
-            key = tuple(t)
-            self.positions[key].remove(p)
-            self.pos_dirty.add(key)
+    def _deregister(self, pos: np.ndarray) -> list[np.ndarray]:
+        """Uncount the n-grams starting at ``pos``; returns the ids met."""
+        met = []
+        for n in self.orders:
+            g = self.gram[n]
+            ids = g[pos]
+            ids, cnt = np.unique(ids[ids >= 0], return_counts=True)
+            self.m[ids] -= cnt
+            g[pos] = -1
+            met.append(ids)
+        return met
 
-    # -- greedy occurrence semantics ----------------------------------
+    def _span(self, pos: np.ndarray, n: int) -> np.ndarray:
+        """One row per occurrence starting at ``pos``: its n positions."""
+        cols = [pos]
+        for _ in range(n - 1):
+            cols.append(self.seq.nxt[cols[-1]])
+        return np.stack(cols, axis=1)
 
-    @staticmethod
-    def _self_overlapping(t: TokenTuple) -> bool:
-        n = len(t)
-        if n == 2:
-            return t[0] == t[1]
-        return any(t[d:] == t[:n - d] for d in range(1, n))
-
-    def greedy_count(self, t: TokenTuple) -> int:
-        if not self._self_overlapping(t):
-            return len(self.positions[t])
-        return len(self._greedy_sites(t))
-
-    def _greedy_sites(self, t: TokenTuple) -> list[list[int]]:
-        nxt = self.seq.nxt
-        hops = len(t) - 1
-        sites: list[list[int]] = []
+    def _sites(self, i: int) -> np.ndarray:
+        """The greedy occurrences of n-gram ``i``, taken left to right, one
+        row of positions each."""
+        n = len(self.tuples[i])
+        span = self._span(np.flatnonzero(self.gram[n] == i), n)
+        if not self._overlaps[i]:
+            return span
+        keep = []
         frontier = -1
-        for p in sorted(self.positions[t]):
-            if p <= frontier:
-                continue
-            site = [p]
-            q = p
-            for _ in range(hops):
-                q = nxt[q]
-                site.append(q)
-            sites.append(site)
-            frontier = site[-1]
-        return sites
+        for r, (p, e) in enumerate(zip(span[:, 0].tolist(),
+                                       span[:, -1].tolist())):
+            if p > frontier:
+                keep.append(r)
+                frontier = e
+        return span[keep]
 
-    def first_position(self, t: TokenTuple) -> int:
-        return min(self.positions[t])
+    def _settle(self, met: list[np.ndarray]) -> None:
+        """Recount the self-overlapping ids met, whose position counts are
+        not greedy counts; free every id met left at 0."""
+        ids = np.unique(np.concatenate(met))
+        for i in ids[self._overlaps[ids]].tolist():
+            self.m[i] = len(self._sites(i))
+        for i in ids[self.m[ids] == 0].tolist():
+            del self._ids[len(self.tuples[i])][self._key[i]]
+            self.tuples[i] = None
+            self._free.append(i)
+            self._freed.append(i)
 
-    # -- mutation ------------------------------------------------------
+    def id_of(self, t: TokenTuple) -> int | None:
+        """The id of n-gram ``t``, or None when it does not occur."""
+        if not 2 <= len(t) <= self.n_max:
+            return None
+        i = t[0]
+        for n in self.orders[:len(t) - 1]:
+            i = self._ids[n].get(i << 32 | t[n - 1])
+            if i is None:
+                return None
+        return i
 
-    def apply(self, t: TokenTuple, lex: Lexicon) -> CompressionDelta:
-        """Compress all greedy occurrences of ``t``, keeping the index exact."""
+    def first_position(self, i: int) -> int:
+        return int(np.argmax(self.gram[len(self.tuples[i])] == i))
+
+    def apply(self, i: int, lex: Lexicon) -> CompressionDelta:
+        """Compress all greedy occurrences of n-gram ``i`` in one batch:
+        clear the n-grams at the sites and the ``n_max - 1`` positions left
+        of each, merge, and register again at the survivors.  That is what
+        merging site by site gives, as the index is a function of the
+        sequence."""
+        t = self.tuples[i]
         seq = self.seq
-        sites = self._greedy_sites(t)
-        if not sites:
-            raise ValueError(f"candidate {t} does not occur")
+        sites = self._sites(i)
         fresh = seq.new_token(sum(seq.lengths[w] for w in t))
         lex.define(t, "".join(lex.entries[w].surface for w in t))
-        ctx = self.n_max - 1
-        prv = seq.prv
-        for site in sites:
-            p1 = site[0]
-            lctx = []
-            q = prv[p1]
-            while q != -1 and len(lctx) < ctx:
-                lctx.append(q)
-                q = prv[q]
-            for s0 in lctx:
-                self._deregister_at(s0)
-            for s0 in site:
-                self._deregister_at(s0)
-            seq.merge_site(site, fresh)
-            for s0 in lctx:
-                self._register_at(s0)
-            self._register_at(p1)
+        near = [sites.ravel()]
+        q = sites[:, 0]
+        for _ in range(self.n_max - 1):
+            q = seq.prv[q]
+            q = q[q != -1]
+            near.append(q)
+        near = np.unique(np.concatenate(near))
+        met = self._deregister(near)
+        seq.merge(sites, fresh)
+        self._settle(met + self._register(near[seq.tok[near] >= 0]))
         return CompressionDelta(fresh, len(sites))
 
-    def consume_dirty(self) -> tuple[list[TokenTuple],
-                                     dict[TokenTuple, int]]:
-        """Flush the n-grams whose positions ``apply`` touched: returns
-        (tuples whose last position went since the last flush, each live
-        touched tuple -> its greedy count)."""
-        pos_d = self.pos_dirty
-        self.pos_dirty = set()
-        dead: list[TokenTuple] = []
-        counts: dict[TokenTuple, int] = {}
-        for t in pos_d:
-            if self.positions[t]:
-                counts[t] = self.greedy_count(t)
-            else:
-                del self.positions[t]
-                dead.append(t)
-        return dead, counts
+    def consume_dirty(self) -> tuple[list[int], list[int]]:
+        """(ids freed, ids born) since the last call; ``apply`` frees only
+        after all its births, so no id is in both after a single apply."""
+        out = self._freed, self._born
+        self._freed, self._born = [], []
+        return out

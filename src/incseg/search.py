@@ -186,6 +186,30 @@ def load_ledger(out_dir: Path) -> list[RunRecord]:
     return records
 
 
+def correlation_rows(out_dir: str | Path, population: str) -> list[dict]:
+    """Token F and the criteria of each output of the grid in ``out_dir``
+    (``outputs``), or of each traced snapshot that has both (``trace``)."""
+    records = load_ledger(Path(out_dir))
+    if not records:
+        raise RuntimeError(f"no records in {out_dir}")
+    rows = []
+    for r in records:
+        if population == "outputs":
+            if r.metrics is None:
+                raise RuntimeError("records lack gold metrics")
+            rows.append({"token_f": r.metrics["token"]["f"], **r.criteria})
+        elif r.trace_file:
+            with (Path(out_dir) / r.trace_file).open(encoding="utf-8") as fh:
+                for line in fh:
+                    row = json.loads(line)
+                    if row.get("criteria") and row.get("token_f") is not None:
+                        rows.append({"token_f": row["token_f"],
+                                     **row["criteria"]})
+    if population == "trace" and not rows:
+        raise RuntimeError("no traced snapshots found; run grid --trace")
+    return rows
+
+
 def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
              spec: GridSpec, out_dir: str | Path,
              options: LearnerOptions | None = None,

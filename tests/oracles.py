@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import fsum, log
 
+import numpy as np
+
 from incseg.criteria import SegmentedText
 
 
@@ -168,16 +170,28 @@ def apply_compression(seq, lex, s, fresh_id=None):
     seq.new_token(sum(seq.lengths[w] for w in s))
     lex.define(s, "".join(lex.entries[w].surface for w in s))
     for site in sites:
-        seq.merge_site(site, fresh_id)
+        seq.merge(np.array([site]), fresh_id)
     changes = {w: (old_counts[w], seq.counts[w]) for w in set(s)}
     changes[fresh_id] = (0, len(sites))
     return CompressionDelta(fresh_id, s, len(sites), changes, old_total,
                             seq.total)
 
 
+def walk(seq):
+    """Each block's live positions, found by following the links."""
+    nxt = seq.nxt.tolist()
+    blocks = []
+    for p in seq.block_starts:
+        blocks.append([])
+        while p != -1:
+            blocks[-1].append(p)
+            p = nxt[p]
+    return blocks
+
+
 def _scan_sites(seq, s):
     n = len(s)
-    tok, nxt = seq.tok, seq.nxt
+    tok, nxt = seq.tok.tolist(), seq.nxt.tolist()
     sites = []
     for start in seq.block_starts:
         p = start
@@ -197,6 +211,33 @@ def _scan_sites(seq, s):
     return sites
 
 
+def verify_index(index):
+    """Assert that each live position's ``gram[n]`` id names the n tokens
+    found there by following links, that every other position holds -1,
+    and that each live id is one distinct n-gram counted as a full scan
+    counts it."""
+    seq = index.seq
+    tok, nxt = seq.tok.tolist(), seq.nxt.tolist()
+    live = {p for block in walk(seq) for p in block}
+    named = set()
+    for n in index.orders:
+        gram = index.gram[n].tolist()
+        for p, i in enumerate(gram):
+            run = [p] if p in live else []
+            while run and len(run) < n and nxt[run[-1]] != -1:
+                run.append(nxt[run[-1]])
+            if len(run) < n:
+                assert i == -1, (n, p, i)
+                continue
+            assert index.tuples[i] == tuple(tok[q] for q in run), (n, p, i)
+            named.add(i)
+    ids = [i for i, t in enumerate(index.tuples) if t is not None]
+    assert set(ids) == named
+    assert len({index.tuples[i] for i in ids}) == len(ids)
+    for i in ids:
+        assert index.m[i] == count_occurrences(seq, index.tuples[i]), i
+
+
 @dataclass
 class NgramStats:
     n: int
@@ -212,8 +253,9 @@ def ngram_stats(seq, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = Counter()
-    for start in seq.block_starts:
-        block = [seq.tok[p] for p in seq.iter_positions(start)]
+    tok = seq.tok.tolist()
+    for positions in walk(seq):
+        block = [tok[p] for p in positions]
         for i in range(n - 1, len(block)):
             counts[tuple(block[i - n + 1:i + 1])] += 1
     return NgramStats(n, dict(counts))
@@ -231,9 +273,11 @@ def verify_sequence(seq, lex, corpus=None):
     """Assert maintained statistics against a from-scratch recount."""
     recount = Counter()
     total = 0
-    for start in seq.block_starts:
-        for p in seq.iter_positions(start):
-            recount[seq.tok[p]] += 1
+    tok = seq.tok.tolist()
+    blocks = walk(seq)
+    for block in blocks:
+        for p in block:
+            recount[tok[p]] += 1
             total += 1
     assert total == seq.total, (total, seq.total)
     for tid, c in enumerate(seq.counts):
@@ -246,9 +290,7 @@ def verify_sequence(seq, lex, corpus=None):
         assert len(expanded) == seq.lengths[tid]
     if corpus is not None:
         expanded = "".join(
-            lex.surface(seq.tok[p])
-            for start in seq.block_starts
-            for p in seq.iter_positions(start))
+            lex.surface(tok[p]) for block in blocks for p in block)
         assert expanded == corpus.char_string()
 
 
@@ -258,10 +300,11 @@ def segmented_text_from_token_sequence(seq, lex):
     interned = {}
     surfaces = []
     blocks = []
-    for start in seq.block_starts:
+    tok = seq.tok.tolist()
+    for block in walk(seq):
         ids = []
-        for p in seq.iter_positions(start):
-            surface = lex.surface(seq.tok[p])
+        for p in block:
+            surface = lex.surface(tok[p])
             if surface not in interned:
                 interned[surface] = len(surfaces)
                 surfaces.append(surface)

@@ -333,13 +333,15 @@ def test_select_rejects_top_below_one(corpus_file, tmp_path, capsys, top):
         f"incseg: error: k must be at least 1, got {top}"]
 
 
-@pytest.mark.parametrize("command", ["dump-lexicon", "staged"])
+@pytest.mark.parametrize("command",
+                         ["dump-lexicon", "staged", "segment", "grid"])
 def test_trace_every_only_on_traced_commands(corpus_file, tmp_path, capsys,
                                              command):
+    # segment traces only with --trace-out, grid only with --trace
     out = tmp_path / "out"
     argv = [command, str(corpus_file), "--out", str(out),
             "--trace-every", "2"]
-    if command == "staged":
+    if command in ("staged", "grid"):
         argv += ["--alpha", "0", "--beta", "0"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -347,6 +349,51 @@ def test_trace_every_only_on_traced_commands(corpus_file, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("incseg: error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("every", ["0", "-5"])
+def test_trace_every_below_one_is_one_line_error(corpus_file, tmp_path,
+                                                 capsys, every):
+    rc = main(["segment", str(corpus_file), "--out", str(tmp_path / "s.txt"),
+               "--trace-out", str(tmp_path / "t.jsonl"),
+               "--trace-every", every])
+    assert rc != 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"incseg: error: trace interval must be at least 1, got {every}"]
+    assert list(tmp_path.iterdir()) == [corpus_file]
+
+
+REQUIRED_FROM_CONFIG = {  # command: (other words, required flag entries)
+    "grid": (["{corpus}", "--alpha", "0", "--beta", "0"], {"out": "{tmp}/g"}),
+    "staged": (["{corpus}"], {"alpha": "0", "beta": "0", "out": "{tmp}/st"}),
+    "select": ([], {"ledger": "{grid}", "criterion": "mdl2"}),
+    "ensemble": ([], {"inputs": "{corpus} {corpus}", "out": "{tmp}/v.txt"}),
+    "eval": ([], {"hyp": "{corpus}", "gold": "{corpus}"}),
+}
+
+
+@pytest.mark.parametrize("command", list(REQUIRED_FROM_CONFIG))
+def test_required_flags_from_config(corpus_file, tmp_path, capsys, command):
+    argv, entries = REQUIRED_FROM_CONFIG[command]
+    grid = tmp_path / "grid"
+    if command == "select":
+        main(["grid", str(corpus_file), "--alpha", "0", "--beta", "0",
+              "--out", str(grid)])
+
+    def fill(v):
+        return v.format(corpus=corpus_file, tmp=tmp_path, grid=grid)
+
+    argv = [command, *map(fill, argv)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)  # missing from both the command line and a config
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["incseg: error: the following arguments are required: "
+                   + ", ".join(f"--{k}" for k in entries)]
+    cfg = tmp_path / "req.cfg"
+    cfg.write_text("".join(f"{k} = {fill(v)}\n" for k, v in entries.items()))
+    assert main([*argv, "--config", str(cfg)]) == 0
 
 
 def test_punct_set_alone_splits_blocks_in_every_command(tmp_path, capsys):

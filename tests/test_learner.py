@@ -32,8 +32,12 @@ def ids(corpus, s):
 
 
 def table_m(state, t):
-    """The greedy count the scorer uses: the candidate table's only copy."""
-    return int(state._m[state._row[t]])
+    """The greedy count the scorer uses: the index's only copy."""
+    return int(state.index.m[state.index.id_of(t)])
+
+
+def live_tuples(state):
+    return {t for t in state.index.tuples if t is not None}
 
 
 # -- penalty -----------------------------------------------------------
@@ -70,6 +74,13 @@ def test_penalty_params_validated():
         PenaltyParams(0.0, float("nan"))
     with pytest.raises(ValueError):
         PenaltyParams(kind="cubic")
+
+
+def test_learner_options_validated():
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            LearnerOptions(trace_interval=bad)
+    assert LearnerOptions(trace_interval=1).trace_interval == 1
 
 
 @given(st.integers(1, 40), st.integers(1, 40))
@@ -169,7 +180,7 @@ def test_incremental_delta_matches_oracle(seed):
                            rng.choice(("xlogx", "xsquared")))
     state = init_state(corpus, params, LearnerOptions(n_max=rng.choice((2, 3))))
     for _ in range(5):
-        live = sorted(state.index.positions)
+        live = sorted(live_tuples(state))
         if not live:
             break
         t = rng.choice(live)
@@ -221,13 +232,13 @@ def test_step_is_deterministic_under_ties():
 
 def test_run_objective_strictly_decreasing():
     corpus, gold = make_corpus(toy_text(60, seed=3))
-    state = init_state(corpus, PenaltyParams(0.2, 0.2),
-                       LearnerOptions(validate_every=1))
+    state = init_state(corpus, PenaltyParams(0.2, 0.2))
     last = state.objective
     while True:
         ev = step(state)
         if ev is None:
             break
+        state.check_objective()
         assert ev.delta < 0
         assert ev.objective < last
         last = ev.objective
@@ -353,7 +364,9 @@ def test_selected_candidate_is_global_minimum(seed):
         universe = set()
         for n in range(2, n_max + 1):
             universe.update(ngram_stats(state.seq, n).counts)
-        assert set(state.index.positions) == set(state._row) == universe
+        index = state.index
+        assert live_tuples(state) == universe
+        assert all(index.tuples[index.id_of(t)] == t for t in universe)
         for t in universe:
             assert table_m(state, t) == count_occurrences(state.seq, t)
         floor = (min(oracle_delta_on_copy(state, t) for t in universe)
@@ -413,11 +426,13 @@ def test_step_takes_exact_tie_broken_minimum(seed, n_max):
     index = state.index
     while True:
         keyed = []
-        for t in index.positions:
+        for i, t in enumerate(index.tuples):
+            if t is None:
+                continue
             score = state.score_candidate(t)
             assert score == scalar_score(state, t), t
             assert table_m(state, t) == count_occurrences(state.seq, t), t
-            keyed.append((score, -table_m(state, t), index.first_position(t),
+            keyed.append((score, -table_m(state, t), index.first_position(i),
                           t))
         best = min(keyed, default=None)
         ev = step(state)
@@ -445,12 +460,12 @@ def test_exact_tie_on_benchmark_corpus_goes_to_first_position(tmp_path):
         step(state)
     lex = state.lex
     live = {"".join(lex.surface(w) for w in t): t
-            for t in state.index.positions}
+            for t in live_tuples(state)}
     early, late = live["yutitizewadawasukigoki"], live["kidasu6yuti"]
     for t, first in ((early, 25482), (late, 34639)):
         assert state.score_candidate(t) == -2.260745752730145
         assert table_m(state, t) == 1
-        assert state.index.first_position(t) == first
+        assert state.index.first_position(state.index.id_of(t)) == first
     ev = step(state)
     assert ev.iteration == 461 and ev.token == early
     assert lex.surface(ev.fresh_id) == "yutitizewadawasukigoki"

@@ -1,5 +1,6 @@
 """Token sequence bookkeeping: greedy counts, compression, n-gram stats."""
 
+import json
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from incseg.lexmodel import CandidateIndex, init_from_corpus
 
 from conftest import make_corpus, random_gold_text
 from oracles import (apply_compression, count_occurrences, expand,
-                     ngram_stats, verify_sequence)
+                     ngram_stats, verify_index, verify_sequence)
 
 
 def seq_for(text, tmp_path=None):
@@ -139,6 +140,10 @@ def test_boundary_set_tracks_merges():
     assert seq.boundary_set() == {2, 4, 5}
 
 
+def live_tuples(index):
+    return {t for t in index.tuples if t is not None}
+
+
 def test_index_matches_scan_counts():
     rng = random.Random(5)
     for trial in range(20):
@@ -147,15 +152,20 @@ def test_index_matches_scan_counts():
         corpus, seq, lex = seq_for(text)
         n_max = rng.randint(2, 4)
         index = CandidateIndex(seq, n_max)
-        dead, counts = index.consume_dirty()
-        assert dead == []
-        for t, m in counts.items():
-            assert m == count_occurrences(seq, t), (text, t)
+        freed, born = index.consume_dirty()
+        assert freed == []
+        for i in born:
+            t = index.tuples[i]
+            assert index.m[i] == count_occurrences(seq, t), (text, t)
+            assert index.id_of(t) == i
         # every possible n-gram with an occurrence is indexed and counted
         universe = set()
         for n in range(2, n_max + 1):
             universe.update(ngram_stats(seq, n).counts)
-        assert set(index.positions) == set(counts) == universe
+        assert sorted(born) == list(range(len(index.tuples)))
+        assert live_tuples(index) == {index.tuples[i] for i in born} \
+            == universe
+        verify_index(index)
 
 
 def test_index_stays_exact_under_compressions():
@@ -166,29 +176,29 @@ def test_index_stays_exact_under_compressions():
         corpus, seq, lex = seq_for(text)
         n_max = rng.randint(2, 3)
         index = CandidateIndex(seq, n_max)
-        _, counts = index.consume_dirty()
+        # the ids a caller knows, kept only from what the flushes report
+        known = {i: index.tuples[i] for i in index.consume_dirty()[1]}
         for _ in range(12):
-            live = [t for t, s in index.positions.items() if s]
+            live = sorted(live_tuples(index))
             if not live:
                 break
-            t = rng.choice(sorted(live))
-            index.apply(t, lex)
-            # a count kept only from what the flushes report stays exact,
-            # so every tuple whose count changed was reported
-            dead, fresh = index.consume_dirty()
-            for u in dead:
-                assert u not in index.positions and u not in fresh
-                counts.pop(u, None)  # absent if born and killed in one apply
-            counts.update(fresh)
+            t = rng.choice(live)
+            index.apply(index.id_of(t), lex)
+            freed, born = index.consume_dirty()
+            for u in freed:
+                assert index.tuples[u] is None and u not in born
+                del known[u]
+            known.update((i, index.tuples[i]) for i in born)
             verify_sequence(seq, lex, corpus)
+            verify_index(index)
             # recount every candidate from scratch
-            assert set(counts) == set(index.positions)
-            for u, m in counts.items():
-                assert m == count_occurrences(seq, u)
+            assert set(known.values()) == live_tuples(index)
+            for i, u in known.items():
+                assert index.tuples[i] == u
+                assert index.m[i] == count_occurrences(seq, u)
             for n in range(2, n_max + 1):
                 stats = ngram_stats(seq, n)
-                live_keys = {k for k, s in index.positions.items()
-                             if len(k) == n}
+                live_keys = {k for k in live_tuples(index) if len(k) == n}
                 assert live_keys == set(stats.counts)
 
 
@@ -202,10 +212,23 @@ def test_conservation_random(seed):
     index.consume_dirty()
     n = corpus.n_chars
     for _ in range(6):
-        live = sorted(t for t, s in index.positions.items() if s)
+        live = sorted(live_tuples(index))
         if not live:
             break
-        index.apply(rng.choice(live), lex)
+        index.apply(index.id_of(rng.choice(live)), lex)
         index.consume_dirty()
+        verify_index(index)
         assert sum(c * seq.lengths[t]
                    for t, c in enumerate(seq.counts)) == n
+
+
+@pytest.mark.parametrize("text, merged", [("aaaa\nab\n", "aa"),
+                                          ("abab abab\nba\n", "ab")])
+def test_blocks_and_boundaries_are_json_ints(text, merged):
+    corpus, seq, lex = seq_for(text)
+    index = CandidateIndex(seq, 3)
+    index.apply(index.id_of(ids(corpus, merged)), lex)
+    blocks = seq.to_blocks()
+    assert json.loads(json.dumps(blocks)) == blocks
+    bounds = sorted(seq.boundary_set())
+    assert json.loads(json.dumps(bounds)) == bounds
