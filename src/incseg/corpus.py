@@ -9,12 +9,16 @@ between character p-1 and character p.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 
 class CorpusError(ValueError):
@@ -60,7 +64,7 @@ class RawCorpus:
         if any(len(b) == 0 for b in self.blocks):
             raise CorpusError("empty block")
 
-    @property
+    @functools.cached_property
     def n_chars(self) -> int:
         return sum(len(b) for b in self.blocks)
 
@@ -81,6 +85,50 @@ class RawCorpus:
         """All segmentable characters, concatenated across blocks."""
         cs = self.charmap.chars
         return "".join(cs[i] for b in self.blocks for i in b)
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """Character ids of all blocks, concatenated; computed once."""
+        return np.fromiter(itertools.chain.from_iterable(self.blocks),
+                           np.int64, self.n_chars)
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """First position of each block, ascending; computed once."""
+        return np.array(self.block_starts, np.int64)
+
+    def type_words(self, starts: np.ndarray, lengths: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact type ids of the words at ``starts``: two words share an id
+        iff they have the same characters.
+
+        Words of one length are typed together: their rows of character
+        ids are packed column by column into int64 keys in base
+        ``len(charmap)``, ranked densely whenever the next column could
+        overflow.  Returns each word's type id and one word index per type.
+        """
+        base = max(len(self.charmap), 2)
+        tid = np.empty(len(starts), np.int64)
+        reps = []
+        n_types = 0
+        order = np.argsort(lengths, kind="stable")
+        buckets = np.flatnonzero(np.diff(lengths[order])) + 1
+        for idx in np.split(order, buckets):
+            key = np.zeros(len(idx), np.int64)
+            space = 1  # key < space
+            at = starts[idx]
+            for j in range(int(lengths[idx[0]])):
+                if space * base >= 2**62:
+                    _, key = np.unique(key, return_inverse=True)
+                    space = len(idx)
+                key = key * base + self.codes[at + j]
+                space *= base
+            _, first, key = np.unique(key, return_index=True,
+                                      return_inverse=True)
+            tid[idx] = key + n_types
+            n_types += len(first)
+            reps.append(idx[first])
+        return tid, np.concatenate(reps)
 
     def render(self, boundaries: Iterable[int] = ()) -> str:
         """Reserialize, inserting one ASCII space at each boundary position."""

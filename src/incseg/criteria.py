@@ -1,24 +1,26 @@
 """Information-criterion scoring of finished segmentations.
 
-Hypotheses are re-read as words off their boundary set before scoring, so
-token types are identified by surface string regardless of how the learner's
-lexicon happened to compose them.  All values are in nats; ``in_bits``
-rescales for display.
+A hypothesis is scored from its word table over the corpus' character
+codes: word starts, block-start flags and exact type ids, one per distinct
+row of character codes (``RawCorpus.type_words``), however the learner's
+lexicon composed the word.  Each distinct likelihood term is computed once
+and ``fsum``, which is correctly rounded, adds it as often as it occurs.
+All values are in nats; ``in_bits`` rescales for display.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import fsum, log
 from typing import Iterable
+
+import numpy as np
 
 from .corpus import RawCorpus
 
 CRITERIA = ("aic1", "aic2", "aic3", "mdl1", "mdl2", "mdl3")
-
-_END_MARK = "\x00"  # end-of-word symbol in the codebook character model
 
 
 @dataclass(frozen=True)
@@ -39,74 +41,75 @@ class CriterionValue:
 
 
 class SegmentedText:
-    """Surface-typed token view of one segmentation.
+    """Type-id view of one segmentation.
 
-    ``tables[n]`` holds (n-gram counts, context counts) for n = 2 and 3,
-    counted within blocks; a context is counted only where a word follows
-    it in its block.
+    Type t spells ``type_lengths[t]`` symbols; ``type_chars`` concatenates
+    the ids of all types' symbols, which index ``symbols``.  ``terms[n]``
+    holds each word's order-n likelihood term -log(a / b) as arrays (a, b):
+    a word that closes an order-m gram in its block, m <= n largest, has
+    that gram's count over its history's count (m = 1: its type's count
+    over the total).  ``k[n]`` is the number of distinct order-n grams.
     """
 
-    __slots__ = ("blocks", "type_surfaces", "type_counts", "total", "n_chars",
-                 "tables")
-
     def __init__(self, blocks: list[list[int]], type_surfaces: list[str]):
-        self.blocks = blocks
-        self.type_surfaces = type_surfaces
-        counts = [0] * len(type_surfaces)
-        total = 0
-        for b in blocks:
-            for t in b:
-                counts[t] += 1
-            total += len(b)
-        self.type_counts = counts
-        self.total = total
-        self.n_chars = sum(
-            c * len(s) for c, s in zip(counts, type_surfaces))
-        self.tables = {n: _order_tables(blocks, n) for n in (2, 3)}
+        symbols = sorted(set("".join(type_surfaces)))
+        ids = {c: i for i, c in enumerate(symbols)}
+        first = np.array([j == 0 for b in blocks for j in range(len(b))], bool)
+        self._build(np.array([t for b in blocks for t in b], np.int64), first,
+                    np.array([len(s) for s in type_surfaces], np.int64),
+                    np.array([ids[c] for s in type_surfaces for c in s],
+                             np.int64), symbols)
 
     @classmethod
     def from_boundaries(cls, corpus: RawCorpus,
                         boundaries: Iterable[int]) -> "SegmentedText":
-        bset = set(boundaries)
-        chars = corpus.char_string()
-        interned: dict[str, int] = {}
-        surfaces: list[str] = []
-        blocks: list[list[int]] = []
-        off = 0
-        for block in corpus.blocks:
-            ids: list[int] = []
-            start = off
-            for j in range(1, len(block)):
-                if off + j in bset:
-                    ids.append(_intern(chars[start:off + j], interned,
-                                       surfaces))
-                    start = off + j
-            off += len(block)
-            ids.append(_intern(chars[start:off], interned, surfaces))
-            blocks.append(ids)
-        return cls(blocks, surfaces)
+        """Words between the boundaries inside blocks and the block edges."""
+        b = (boundaries if isinstance(boundaries, np.ndarray)
+             else np.fromiter(boundaries, np.int64))
+        n = corpus.n_chars
+        starts = np.sort(np.concatenate((b[(b > 0) & (b < n)],
+                                         corpus.offsets)))
+        starts = starts[np.diff(starts, prepend=-1) > 0]
+        lengths = np.diff(starts, append=n)
+        tid, rep = corpus.type_words(starts, lengths)
+        first = np.isin(starts, corpus.offsets)
+        lens = lengths[rep]
+        spelled = np.arange(lens.sum()) + np.repeat(
+            starts[rep] - np.cumsum(lens) + lens, lens)
+        st = cls.__new__(cls)
+        st._build(tid, first, lens, corpus.codes[spelled],
+                  corpus.charmap.chars)
+        return st
 
+    def _build(self, tid, first, type_lengths, type_chars, symbols) -> None:
+        n_types, self.total = len(type_lengths), len(tid)
+        self.type_lengths, self.type_chars = type_lengths, type_chars
+        self.symbols = symbols
+        self.type_counts = np.bincount(tid, minlength=n_types)
+        self.n_chars = int(self.type_counts @ type_lengths)
+        a, b = self.type_counts[tid], np.full(self.total, self.total)
+        self.terms, self.k = {}, {}
+        gram = tid  # id of the order-(n-1) gram each word closes
+        closes = np.ones(self.total, bool)
+        for n in (2, 3):
+            closes = np.concatenate(([False], closes[:-1])) & ~first
+            at = np.flatnonzero(closes)
+            code = gram[at - 1] * n_types + tid[at]
+            _, gram_at, count = np.unique(code, return_inverse=True,
+                                          return_counts=True)
+            hist = code // n_types
+            a, b = a.copy(), b.copy()
+            a[at], b[at] = count[gram_at], np.bincount(hist)[hist]
+            self.terms[n], self.k[n] = (a, b), len(count)
+            gram = np.zeros(self.total, np.int64)
+            gram[at] = gram_at
 
-def _intern(s: str, table: dict[str, int], surfaces: list[str]) -> int:
-    i = table.get(s)
-    if i is None:
-        i = len(surfaces)
-        table[s] = i
-        surfaces.append(s)
-    return i
-
-
-def _order_tables(blocks: list[list[int]], order: int
-                  ) -> tuple[Counter, Counter]:
-    """(n-gram counts, context counts) for one order, within blocks only."""
-    grams: Counter = Counter()
-    ctx: Counter = Counter()
-    for b in blocks:
-        for i in range(order - 1, len(b)):
-            g = tuple(b[i - order + 1:i + 1])
-            grams[g] += 1
-            ctx[g[:-1]] += 1
-    return grams, ctx
+    @property
+    def type_surfaces(self) -> list[str]:
+        """Each type's string, in type-id order."""
+        text = "".join([self.symbols[c] for c in self.type_chars.tolist()])
+        ends = np.cumsum(self.type_lengths).tolist()
+        return [text[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def neg_log_likelihood(st: SegmentedText, n: int) -> float:
@@ -114,42 +117,33 @@ def neg_log_likelihood(st: SegmentedText, n: int) -> float:
     scored by the highest lower-order model available at their position."""
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2, or 3")
-    counts = st.type_counts
-    total = st.total
     if n == 1:
-        return fsum(-c * log(c / total) for c in counts if c > 0)
-    terms = []
-    for b in st.blocks:
-        terms.append(-log(counts[b[0]] / total))
-        for i in range(1, min(n - 1, len(b))):
-            grams, ctx = st.tables[i + 1]
-            g = tuple(b[:i + 1])
-            terms.append(-log(grams[g] / ctx[g[:-1]]))
-        grams, ctx = st.tables[n]
-        for i in range(n - 1, len(b)):
-            g = tuple(b[i - n + 1:i + 1])
-            terms.append(-log(grams[g] / ctx[g[:-1]]))
-    return fsum(terms)
+        return fsum(-c * log(c / st.total) for c in st.type_counts.tolist()
+                    if c > 0)
+    a, b = st.terms[n]
+    key, mult = np.unique(a * (st.total + 1) + b, return_counts=True)
+    terms = [-log(x / y) for x, y in zip((key // (st.total + 1)).tolist(),
+                                         (key % (st.total + 1)).tolist())]
+    return fsum(chain.from_iterable(map(repeat, terms, mult.tolist())))
 
 
 def codebook_length(st: SegmentedText) -> float:
     """Cost of transmitting all active word surfaces character-by-character.
 
-    Characters (plus one end-of-word symbol per entry) are coded by their ML
-    distribution over the concatenated surfaces; multiplicity of a word in
-    the data does not matter, only its presence in the lexicon.
+    Characters, plus one end-of-word mark (a symbol of its own) per entry,
+    are coded by their ML distribution over the concatenated surfaces; only
+    a word's presence in the lexicon matters, not its multiplicity.
     """
-    sym: Counter = Counter()
-    entries = 0
-    for s, c in zip(st.type_surfaces, st.type_counts):
-        if c > 0:
-            sym.update(s)
-            entries += 1
+    active = st.type_counts > 0
+    entries = int(active.sum())
     if entries == 0:
         return 0.0
-    sym[_END_MARK] += entries
-    z = sum(sym.values())
-    return -fsum(c * log(c / z) for c in sym.values())
+    mark = len(st.symbols)
+    sym = np.bincount(st.type_chars[np.repeat(active, st.type_lengths)],
+                      minlength=mark + 1)
+    sym[mark] += entries
+    z = int(sym.sum())
+    return -fsum(c * log(c / z) for c in sym.tolist() if c > 0)
 
 
 def evaluate(st: SegmentedText) -> dict[str, CriterionValue]:
@@ -162,15 +156,14 @@ def evaluate(st: SegmentedText) -> dict[str, CriterionValue]:
     Both families of an order share its likelihood and k_n.
     """
     big_n = st.n_chars
-    active = [(s, c) for s, c in zip(st.type_surfaces, st.type_counts)
-              if c > 0]
-    lexicon = sum(1 + len(s) for s, _ in active)
+    active = st.type_counts > 0
+    n_active = int(active.sum())
+    lexicon = n_active + int(st.type_lengths[active].sum())
     cbl = codebook_length(st)
-    aic: list[CriterionValue] = []
-    mdl: list[CriterionValue] = []
+    aic, mdl = [], []
     for n in (1, 2, 3):
         nll = neg_log_likelihood(st, n)
-        k_n = len(active) if n == 1 else len(st.tables[n][0])
+        k_n = n_active if n == 1 else st.k[n]
         k = lexicon + k_n if n == 1 else lexicon + 1 + 2 * k_n
         if big_n - k - 1 <= 0:
             aic.append(CriterionValue(f"aic{n}", math.inf, nll, k, math.inf))

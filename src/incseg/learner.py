@@ -346,18 +346,17 @@ def _trace_record(state: LearnerState, corpus: RawCorpus,
         n_boundaries=seq.total - 1 if seq.total else 0,
     )
     opts = state.options
-    if opts.trace_mode == "criteria" or opts.trace_boundaries:
-        bounds = frozenset(seq.boundary_set())
-        if opts.trace_boundaries:
-            rec.boundaries = bounds
-        if opts.trace_mode == "criteria":
-            from . import criteria as _criteria
-            from . import metrics as _metrics
-            vals = _criteria.evaluate_boundaries(corpus, bounds)
-            rec.criteria = {cid: cv.value for cid, cv in vals.items()}
-            if gold is not None:
-                rec.token_f = _metrics.token_prf(
-                    bounds, gold.boundaries, corpus.n_chars).f
+    if opts.trace_boundaries:
+        rec.boundaries = frozenset(seq.boundary_set())
+    if opts.trace_mode == "criteria":
+        from . import criteria as _criteria
+        from . import metrics as _metrics
+        starts = np.flatnonzero(seq.tok >= 0)  # word starts, 0 included
+        vals = _criteria.evaluate_boundaries(corpus, starts)
+        rec.criteria = {cid: cv.value for cid, cv in vals.items()}
+        if gold is not None:
+            rec.token_f = _metrics.token_prf(
+                starts, gold.boundaries, corpus.n_chars).f
     return rec
 
 

@@ -7,7 +7,6 @@ compression consumes exactly the occurrences that were counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -109,12 +108,11 @@ class TokenSequence:
 def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     """Character-level starting state: one token per character."""
     n_base = len(corpus.charmap)
-    lens = np.array([len(b) for b in corpus.blocks], np.int64)
-    n = int(lens.sum())
-    tok = np.fromiter(chain.from_iterable(corpus.blocks), np.int64, n)
-    starts = np.cumsum(lens) - lens
+    n = corpus.n_chars
+    tok = corpus.codes.copy()  # merges rewrite the sequence's tokens
+    starts = corpus.offsets
     nxt = np.arange(1, n + 1, dtype=np.int64)
-    nxt[starts + lens - 1] = -1
+    nxt[np.append(starts[1:], n) - 1] = -1
     prv = np.arange(-1, n - 1, dtype=np.int64)
     prv[starts] = -1
     counts = np.bincount(tok, minlength=n_base).tolist()

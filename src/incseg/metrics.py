@@ -34,34 +34,41 @@ def _prf(correct: int, n_hyp: int, n_gold: int) -> PRF:
     return PRF(p, r, f, degenerate)
 
 
-def _spans(bounds: Iterable[int], n_chars: int) -> list[tuple[int, int]]:
-    cuts = [0] + sorted(set(bounds)) + [n_chars]
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+def _sorted(positions: Iterable[int], *extra: int) -> np.ndarray:
+    """Sorted distinct values of ``positions`` and ``extra``."""
+    v = (positions if isinstance(positions, np.ndarray)
+         else np.fromiter(positions, np.int64))
+    v = np.sort(np.concatenate((v, np.array(extra, np.int64))))
+    return v[np.diff(v, prepend=v[:1] - 1) > 0]
 
 
 def token_prf(hyp: Iterable[int], gold: Iterable[int], n_chars: int) -> PRF:
     """Exact word matches: a hypothesized word is correct iff its whole span
     coincides with a gold word."""
-    hyp_spans = _spans(hyp, n_chars)
-    gold_spans = _spans(gold, n_chars)
-    correct = len(set(hyp_spans) & set(gold_spans))
-    return _prf(correct, len(hyp_spans), len(gold_spans))
+    h, g = _sorted(hyp, 0, n_chars), _sorted(gold, 0, n_chars)
+    rank = np.searchsorted(g, h)
+    hit = g[np.minimum(rank, len(g) - 1)] == h
+    correct = hit[:-1] & hit[1:] & (np.diff(rank) == 1)
+    return _prf(int(correct.sum()), len(h) - 1, len(g) - 1)
 
 
 def boundary_prf(hyp: Iterable[int], gold: Iterable[int],
                  block_edges: Iterable[int]) -> PRF:
-    edges = set(block_edges)
-    h = set(hyp) - edges
-    g = set(gold) - edges
-    return _prf(len(h & g), len(h), len(g))
+    edges = _sorted(block_edges)
+    h, g = (v[~np.isin(v, edges)] for v in (_sorted(hyp), _sorted(gold)))
+    return _prf(int(np.isin(h, g).sum()), len(h), len(g))
 
 
-def lexicon_prf(hyp: Iterable[int], gold: Iterable[int], n_chars: int,
-                chars: str) -> PRF:
-    hyp_types = {chars[a:b] for a, b in _spans(hyp, n_chars)}
-    gold_types = {chars[a:b] for a, b in _spans(gold, n_chars)}
-    correct = len(hyp_types & gold_types)
-    return _prf(correct, len(hyp_types), len(gold_types))
+def lexicon_prf(hyp: Iterable[int], gold: Iterable[int],
+                corpus: RawCorpus) -> PRF:
+    """Word types found; hypothesis and gold words are typed together."""
+    h, g = (_sorted(v, 0, corpus.n_chars) for v in (hyp, gold))
+    tid, rep = corpus.type_words(np.concatenate((h[:-1], g[:-1])),
+                                 np.concatenate((np.diff(h), np.diff(g))))
+    found = [np.bincount(t, minlength=len(rep)) > 0
+             for t in (tid[:len(h) - 1], tid[len(h) - 1:])]
+    return _prf(int((found[0] & found[1]).sum()), int(found[0].sum()),
+                int(found[1].sum()))
 
 
 @dataclass(frozen=True)
@@ -85,17 +92,17 @@ def evaluate_segmentation(corpus: RawCorpus, gold: GoldSegmentation,
     n = corpus.n_chars
     if gold.n_chars != n:
         raise ValueError("gold and corpus disagree on character count")
-    given = set(hyp_boundaries)
-    bad = [p for p in given if not 0 < p < n]
+    given = _sorted(hyp_boundaries)
+    bad = given[(given <= 0) | (given >= n)].tolist()
     if bad:
         raise ValueError(f"boundary positions out of range: {bad[:3]}")
-    edges = corpus.block_edges()
-    hyp = given | edges  # block edges are given, not predicted
-    chars = corpus.char_string()
+    edges = corpus.offsets[1:]
+    hyp = np.concatenate((given, edges))  # block edges are given
+    gold_bounds = _sorted(gold.boundaries)
     return SegReport(
-        token=token_prf(hyp, gold.boundaries, n),
-        boundary=boundary_prf(hyp, gold.boundaries, edges),
-        lexicon=lexicon_prf(hyp, gold.boundaries, n, chars),
+        token=token_prf(hyp, gold_bounds, n),
+        boundary=boundary_prf(hyp, gold_bounds, edges),
+        lexicon=lexicon_prf(hyp, gold_bounds, corpus),
     )
 
 

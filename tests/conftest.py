@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from incseg.corpus import load_gold
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def make_corpus(text: str, fmt: str = "brent", tmp_path=None, hard_punct=None):
@@ -71,6 +75,18 @@ def random_gold_text(rng: random.Random, n_chars: int, alphabet: int,
         lines.append(" ".join(ws))
         total += sum(len(w) for w in ws)
     return "\n".join(lines) + "\n"
+
+
+def benchmark_corpus(path: Path, n_lines: int):
+    """Write the benchmark generator's corpus,
+    ``scripts/benchmark_synthetic.build_corpus(path, n_lines, 400, 99)``,
+    and load it as a gold corpus."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_synthetic", SCRIPTS / "benchmark_synthetic.py")
+    synthetic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synthetic)
+    synthetic.build_corpus(path, n_lines, 400, 99)
+    return load_gold(path, "brent")
 
 
 @pytest.fixture

@@ -79,7 +79,7 @@ def oracle_criteria(corpus, boundaries):
     sym = Counter()
     for w in unigram:
         sym.update(w)
-    sym["\x00"] += len(unigram)
+    sym[None] = len(unigram)  # the end-of-word mark is no character
     z = sum(sym.values())
     cbl = -fsum(c * log(c / z) for c in sym.values())
     out = {}
@@ -97,6 +97,37 @@ def oracle_criteria(corpus, boundaries):
         k = len(unigram) if n == 1 else len(grams[n])
         out[f"mdl{n}"] = (nll[n] + 0.5 * k * log(big_n) + cbl, nll[n], k, cbl)
     return out
+
+
+def oracle_prf(corpus, gold, hyp_boundaries):
+    """Token, boundary and lexicon scores laid out as
+    ``SegReport.as_dict()``, from sets of spans and of word strings.  Block
+    edges join the hypothesis, as given rather than predicted."""
+    n = corpus.n_chars
+    edges = corpus.block_edges()
+    hyp = set(hyp_boundaries) | edges
+    chars = corpus.char_string()
+
+    def spans(bounds):
+        cuts = [0] + sorted(set(bounds)) + [n]
+        return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+    def prf(hyp_items, gold_items):
+        correct, n_hyp, n_gold = (len(hyp_items & gold_items), len(hyp_items),
+                                  len(gold_items))
+        p = 100.0 * correct / n_hyp if n_hyp else 0.0
+        r = 100.0 * correct / n_gold if n_gold else 0.0
+        f = 2 * p * r / (p + r) if p + r > 0 else 0.0
+        return {"p": p, "r": r, "f": f,
+                "degenerate": n_hyp == 0 or n_gold == 0}
+
+    hyp_spans, gold_spans = spans(hyp), spans(gold.boundaries)
+    return {
+        "token": prf(set(hyp_spans), set(gold_spans)),
+        "boundary": prf(hyp - edges, set(gold.boundaries) - edges),
+        "lexicon": prf({chars[a:b] for a, b in hyp_spans},
+                       {chars[a:b] for a, b in gold_spans}),
+    }
 
 
 def oracle_unigram_scores(corpus, boundaries):

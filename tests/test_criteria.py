@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from incseg.criteria import (CRITERIA, SegmentedText, codebook_length,
                              evaluate, evaluate_boundaries, in_bits,
                              neg_log_likelihood)
-from incseg.learner import PenaltyParams, run
+from incseg.learner import LearnerOptions, PenaltyParams, run
 from incseg.lexmodel import init_from_corpus
 
-from conftest import make_corpus, random_gold_text
+from conftest import benchmark_corpus, make_corpus, random_gold_text
 from oracles import (apply_compression, enumerate_segmentations,
                      oracle_criteria, oracle_unigram_scores,
                      segmented_text_from_token_sequence)
@@ -185,11 +185,59 @@ _BLOCKS = st.lists(st.lists(st.text("abc", min_size=1, max_size=3),
 @settings(max_examples=150, deadline=None)
 def test_all_six_match_oracle_exactly(blocks):
     corpus, gold = make_corpus("".join(" ".join(b) + "\n" for b in blocks))
-    vals = evaluate_boundaries(corpus, gold.boundaries)
-    got = {cid: (cv.value, cv.neg_log_lik, cv.complexity_k, cv.extra)
-           for cid, cv in vals.items()}
+    got = _fields(evaluate_boundaries(corpus, gold.boundaries))
     assert tuple(got) == CRITERIA
     assert got == oracle_criteria(corpus, gold.boundaries)
+
+
+def _fields(vals):
+    return {cid: (cv.value, cv.neg_log_lik, cv.complexity_k, cv.extra)
+            for cid, cv in vals.items()}
+
+
+def test_end_mark_is_not_a_character():
+    # U+0000 is a character like any other: renaming x to it changes nothing
+    scores = []
+    for text in ("ax b\na bx\n", "a\x00 b\na b\x00\n"):
+        corpus, gold = make_corpus(text)
+        scores.append(_fields(evaluate_boundaries(corpus, gold.boundaries)))
+        assert scores[-1] == oracle_criteria(corpus, gold.boundaries)
+    assert scores[0] == scores[1]
+
+
+@given(_BLOCKS)
+@settings(max_examples=50, deadline=None)
+def test_renaming_a_character_to_nul_keeps_all_six(blocks):
+    text = "".join(" ".join(b) + "\n" for b in blocks)
+    scores = []
+    for t in (text, text.replace("a", "\x00")):
+        corpus, gold = make_corpus(t)
+        scores.append(_fields(evaluate_boundaries(corpus, gold.boundaries)))
+    assert scores[0] == scores[1]
+
+
+def test_long_words_over_two_symbols_stay_distinct():
+    # 65 symbols in base 2 overflow an int64 key, and these two words
+    # differ only in their first one
+    corpus, gold = make_corpus("a" + "b" * 64 + " " + "b" * 65 + "\n")
+    vals = _fields(evaluate_boundaries(corpus, gold.boundaries))
+    assert vals == oracle_criteria(corpus, gold.boundaries)
+    assert vals["mdl1"][2] == 2
+
+
+def test_learner_snapshots_match_oracle_exactly(tmp_path):
+    # a few hundred benchmark lines fill every length bucket and repeat
+    # likelihood terms many times, unlike the tiny hypothesis corpora
+    corpus, gold = benchmark_corpus(tmp_path / "c.txt", 300)
+    snapshots = [frozenset(), gold.boundaries]
+    for ab in (0.0, 0.2, 0.5):
+        res = run(corpus, PenaltyParams(ab, ab),
+                  LearnerOptions(trace_interval=10, trace_boundaries=True))
+        snapshots += [tr.boundaries for tr in res.trace]
+    assert len(snapshots) >= 8
+    for bounds in snapshots:
+        assert (_fields(evaluate_boundaries(corpus, bounds))
+                == oracle_criteria(corpus, bounds))
 
 
 def test_in_bits():

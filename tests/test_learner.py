@@ -1,22 +1,20 @@
 """Learner scoring, stepping, stopping, and determinism."""
 
-import importlib.util
 import math
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incseg.corpus import load_gold
 from incseg.learner import (LearnerOptions, PenaltyParams, init_state,
                             length_cost, penalized_likelihood, penalty, run,
                             step)
 from incseg.lexmodel import init_from_corpus
 
-from conftest import make_corpus, random_gold_text, toy_text
+from conftest import (benchmark_corpus, make_corpus, random_gold_text,
+                      toy_text)
 from oracles import (apply_compression, count_occurrences, ngram_stats,
                      verify_sequence)
 
@@ -448,13 +446,7 @@ def test_exact_tie_on_benchmark_corpus_goes_to_first_position(tmp_path):
     exact tie between two m=1 candidates.  The lazy heap this learner once
     used held the earlier candidate under a stale key 1.1e-11 too high and
     applied the later one."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / \
-        "benchmark_synthetic.py"
-    spec = importlib.util.spec_from_file_location("benchmark_synthetic", path)
-    synthetic = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synthetic)
-    synthetic.build_corpus(tmp_path / "c.txt", 4000, 400, 99)
-    corpus, _ = load_gold(tmp_path / "c.txt", "brent")
+    corpus, _ = benchmark_corpus(tmp_path / "c.txt", 4000)
     state = init_state(corpus, PenaltyParams(), LearnerOptions(n_max=2))
     for _ in range(460):
         step(state)

@@ -1,5 +1,6 @@
 """Token/boundary/lexicon scoring and Spearman rank correlation."""
 
+import itertools
 import math
 import random
 
@@ -15,6 +16,7 @@ from incseg.metrics import (boundary_prf, correlation_report,
 from conftest import make_corpus
 from fixtures_metrics import CASES
 from oracles import definition_spearman as _definition_spearman
+from oracles import oracle_prf
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
@@ -67,6 +69,35 @@ def test_correct_count_bounded(tmp_path):
     n_hyp, n_gold = 3, 3
     correct = rep.token.p / 100 * n_hyp
     assert correct <= min(n_hyp, n_gold)
+
+
+_GOLD_BLOCKS = st.lists(st.lists(st.text("ab", min_size=1, max_size=3),
+                                 min_size=1, max_size=5),
+                        min_size=1, max_size=5)
+
+
+@given(_GOLD_BLOCKS, st.booleans(),
+       st.sampled_from(["none", "every", "reversed", "random"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_all_levels_match_set_oracle_exactly(blocks, one_word, kind, data):
+    # one_word leaves gold without an internal boundary; "reversed" cuts
+    # each block at its gold word lengths in reverse order, so gold types
+    # recur at other positions
+    if one_word:
+        blocks = [["".join(b)] for b in blocks]
+    corpus, gold = make_corpus("".join(" ".join(b) + "\n" for b in blocks))
+    n = corpus.n_chars
+    if kind == "none":
+        hyp = set()
+    elif kind == "every":
+        hyp = set(range(1, n))
+    elif kind == "reversed":
+        ends = itertools.accumulate(len(w) for b in blocks for w in b[::-1])
+        hyp = set(ends) - {n}
+    else:
+        hyp = data.draw(st.sets(st.integers(1, max(n - 1, 1)))) - {n}
+    report = evaluate_segmentation(corpus, gold, hyp)
+    assert report.as_dict() == oracle_prf(corpus, gold, hyp)
 
 
 # -- spearman ---------------------------------------------------------------
