@@ -48,7 +48,7 @@ def main() -> None:
         build_corpus(path, args.lines, args.types, args.seed)
         corpus, gold = load_gold(path, "brent")
         print(f"corpus: {corpus.n_chars} chars, {len(gold.word_spans())} "
-              f"words, {len(corpus.blocks)} utterances")
+              f"words, {len(corpus.offsets)} utterances")
         for alpha, beta in ((0.0, 0.0), (0.3, 0.3), (0.6, 0.3), (1.0, 0.5)):
             t0 = time.perf_counter()
             res = run(corpus, PenaltyParams(alpha, beta, "xlogx"),

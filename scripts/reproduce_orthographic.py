@@ -39,7 +39,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"{corpus.n_chars} chars, {len(gold.word_spans())} words, "
-          f"{len(corpus.blocks)} blocks after hard boundaries")
+          f"{len(corpus.offsets)} blocks after hard boundaries")
 
     alpha, beta = args.alpha, args.beta
     if args.search:

@@ -47,7 +47,7 @@ def main() -> None:
     corpus, gold = load_gold(args.corpus, "brent")
     out = Path(args.out)
     print(f"{corpus.n_chars} chars, {len(gold.word_spans())} words, "
-          f"{len(corpus.blocks)} utterances")
+          f"{len(corpus.offsets)} utterances")
     header = (f"{'setting':<22} {'value':>12} {'a':>5} {'b':>5} "
               f"{'P':>5} {'R':>5} {'F':>5}  {'BP':>5} {'BR':>5} {'BF':>5}  "
               f"{'LP':>5} {'LR':>5} {'LF':>5}")

@@ -110,7 +110,7 @@ def _write_manifest(target: Path, ns: argparse.Namespace,
         manifest["corpus"] = {
             "sha256": corpus.source_digest,
             "n_chars": corpus.n_chars,
-            "n_blocks": len(corpus.blocks),
+            "n_blocks": len(corpus.offsets),
         }
     if target.is_dir():
         out = target / "manifest.json"
@@ -449,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         ns.trace_every = LearnerOptions.trace_interval
     elif traced_by and not getattr(ns, traced_by[2:].replace("-", "_")):
         parser.error(f"--trace-every needs {traced_by}")
+    if getattr(ns, "trace_snapshots", False) and not ns.trace_out:
+        parser.error("--trace-snapshots needs --trace-out")
     try:
         return ns.func(ns)
     except (CorpusError, RuntimeError, ValueError, OSError) as e:

@@ -2,17 +2,16 @@
 
 A corpus is a sequence of *blocks*: spans of segmentable characters between
 hard boundaries (line breaks, and optionally punctuation runs).  Characters
-are interned to dense integer ids.  Boundary positions are global indices
-into the concatenation of all block characters: position p is the gap
-between character p-1 and character p.
+are interned to dense integer ids in order of first appearance.  Boundary
+positions are global indices into the concatenation of all block
+characters: position p is the gap between character p-1 and character p.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
 import json
+import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,77 +24,53 @@ class CorpusError(ValueError):
     """Unreadable or malformed corpus input."""
 
 
-class Charmap:
-    """Bidirectional character-string <-> dense-id table."""
-
-    def __init__(self) -> None:
-        self.chars: list[str] = []
-        self.ids: dict[str, int] = {}
-
-    def intern(self, ch: str) -> int:
-        i = self.ids.get(ch)
-        if i is None:
-            i = len(self.chars)
-            self.chars.append(ch)
-            self.ids[ch] = i
-        return i
-
-    def __len__(self) -> int:
-        return len(self.chars)
+def distinct(v: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``v``, by a sort and a neighbour mask
+    (numpy's value-only ``unique`` takes a slower hash path)."""
+    v = np.sort(v)
+    return v[np.diff(v, prepend=v[:1] - 1) > 0]
 
 
 @dataclass
 class RawCorpus:
-    """Unsegmented input: blocks of character ids plus restorable separators.
+    """Unsegmented input: character codes, block offsets and restorable
+    separators.
 
-    ``separators`` has one more element than ``blocks``: separators[i]
-    precedes blocks[i] and separators[-1] trails the final block, so that
-    joining separators and rendered blocks reproduces the source text.
+    ``codes`` holds the character ids of all blocks, concatenated, and
+    ``offsets`` the first position of each block.  ``chars`` maps id to
+    character in order of first appearance in the source text, hard
+    punctuation included.  ``separators`` has one more element than
+    ``offsets``: separators[i] precedes block i and separators[-1] trails
+    the final block, so that joining separators and rendered blocks
+    reproduces the source text.
     """
 
-    blocks: list[list[int]]
-    charmap: Charmap
+    codes: np.ndarray
+    offsets: np.ndarray
+    chars: list[str]
     separators: list[str]
-    source_digest: str = ""
-
-    def __post_init__(self) -> None:
-        if len(self.separators) != len(self.blocks) + 1:
-            raise CorpusError("need len(blocks)+1 separators")
-        if any(len(b) == 0 for b in self.blocks):
-            raise CorpusError("empty block")
-
-    @functools.cached_property
-    def n_chars(self) -> int:
-        return sum(len(b) for b in self.blocks)
+    source_digest: str
 
     @property
-    def block_starts(self) -> list[int]:
-        starts = []
-        off = 0
-        for b in self.blocks:
-            starts.append(off)
-            off += len(b)
-        return starts
+    def n_chars(self) -> int:
+        return len(self.codes)
 
     def block_edges(self) -> frozenset[int]:
         """Boundary positions given by block structure (excludes position 0)."""
-        return frozenset(s for s in self.block_starts if s > 0)
+        return frozenset(self.offsets[1:].tolist())
 
     def char_string(self) -> str:
         """All segmentable characters, concatenated across blocks."""
-        cs = self.charmap.chars
-        return "".join(cs[i] for b in self.blocks for i in b)
+        points = np.array([ord(c) for c in self.chars], np.uint32)
+        return points[self.codes].tobytes().decode("utf-32-le")
 
-    @functools.cached_property
-    def codes(self) -> np.ndarray:
-        """Character ids of all blocks, concatenated; computed once."""
-        return np.fromiter(itertools.chain.from_iterable(self.blocks),
-                           np.int64, self.n_chars)
-
-    @functools.cached_property
-    def offsets(self) -> np.ndarray:
-        """First position of each block, ascending; computed once."""
-        return np.array(self.block_starts, np.int64)
+    def word_starts(self, boundaries: Iterable[int]) -> np.ndarray:
+        """First positions, ascending, of the words that the block edges
+        and the ``boundaries`` inside the text cut it into."""
+        b = (boundaries if isinstance(boundaries, np.ndarray)
+             else np.fromiter(boundaries, np.int64))
+        inside = b[(b > 0) & (b < self.n_chars)]
+        return distinct(np.concatenate((inside, self.offsets)))
 
     def type_words(self, starts: np.ndarray, lengths: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -104,10 +79,10 @@ class RawCorpus:
 
         Words of one length are typed together: their rows of character
         ids are packed column by column into int64 keys in base
-        ``len(charmap)``, ranked densely whenever the next column could
+        ``len(chars)``, ranked densely whenever the next column could
         overflow.  Returns each word's type id and one word index per type.
         """
-        base = max(len(self.charmap), 2)
+        base = max(len(self.chars), 2)
         tid = np.empty(len(starts), np.int64)
         reps = []
         n_types = 0
@@ -132,19 +107,15 @@ class RawCorpus:
 
     def render(self, boundaries: Iterable[int] = ()) -> str:
         """Reserialize, inserting one ASCII space at each boundary position."""
-        bset = set(boundaries)
-        cs = self.charmap.chars
+        text = self.char_string()
+        starts = self.word_starts(boundaries)
+        ends = np.append(starts[1:], len(text)).tolist()
+        words = [text[a:b] for a, b in zip(starts.tolist(), ends)]
+        firsts = np.searchsorted(starts, self.offsets).tolist()
         out = [self.separators[0]]
-        off = 0
-        for b, sep_after in zip(self.blocks, self.separators[1:]):
-            piece = []
-            for j, cid in enumerate(b):
-                if j > 0 and off + j in bset:
-                    piece.append(" ")
-                piece.append(cs[cid])
-            out.append("".join(piece))
-            out.append(sep_after)
-            off += len(b)
+        for a, b, sep in zip(firsts, firsts[1:] + [len(words)],
+                             self.separators[1:]):
+            out += (" ".join(words[a:b]), sep)
         return "".join(out)
 
 
@@ -169,15 +140,6 @@ def default_punctuation(text: str) -> set[str]:
     return {c for c in set(text) if unicodedata.category(c).startswith("P")}
 
 
-def _decode(path: str | Path) -> str:
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
-        raise CorpusError(f"{path}: invalid UTF-8 on line {line}: {e.reason}") from None
-
-
 def load_gold(
     path: str | Path,
     format: str = "brent",
@@ -188,100 +150,58 @@ def load_gold(
     Both supported formats are one utterance/passage per line with words
     separated by whitespace; ``brent`` additionally means one symbol per
     phoneme, which needs no special handling since characters are interned
-    per Unicode scalar.  When ``hard_punct`` is given, punctuation runs
-    become hard block separators and are dropped from the character stream
-    (gold boundary positions are remapped accordingly).
+    per Unicode scalar.  A line without words joins the separator verbatim.
+    When ``hard_punct`` is given, its runs inside a line become hard block
+    separators and are dropped from the character stream; every word piece
+    they leave starts a gold word.
     """
     if format not in ("brent", "sighan"):
         raise CorpusError(f"unknown format {format!r}")
-    text = _decode(path)
-    if not text.strip():
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise CorpusError(f"{path}: invalid UTF-8 on line {line}: {e.reason}") from None
+    chars = [c for c in dict.fromkeys(text) if not c.isspace()]
+    if not chars:
         raise CorpusError(f"{path}: empty corpus file")
-    corpus, gold = _parse_segmented(text)
-    corpus.source_digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    if hard_punct:
-        corpus, gold = _apply_hard_with_gold(corpus, gold, hard_punct)
-    return corpus, gold
-
-
-def _parse_segmented(text: str) -> tuple[RawCorpus, GoldSegmentation]:
-    cm = Charmap()
-    blocks: list[list[int]] = []
-    seps: list[str] = [""]
-    boundaries: set[int] = set()
-    off = 0
-    parts = text.split("\n")
-    for i, line in enumerate(parts):
-        tail = "\n" if i < len(parts) - 1 else ""
-        words = line.split()
-        if not words:
-            seps[-1] += line + tail
+    # only characters that can occur inside a word can cut one
+    punct = "".join(c for c in hard_punct or () if len(c) == 1 and not c.isspace())
+    cut = re.compile(f"([{re.escape(punct)}]+)").split if punct else None
+    blocks: list[str] = []
+    lengths: list[int] = []  # of every word piece, in order
+    firsts: list[int] = []  # index in ``lengths`` of each block's first piece
+    seps: list[str] = []
+    sep = ""
+    for line in text.split("\n"):
+        if not line or line.isspace():
+            sep += line + "\n"
             continue
-        if off > 0:
-            boundaries.add(off)
-        block: list[int] = []
-        for w in words:
-            if block:
-                boundaries.add(off + len(block))
-            block.extend(cm.intern(c) for c in w)
-        blocks.append(block)
-        seps.append(tail)
-        off += len(block)
+        for k, piece in enumerate(cut(line) if cut else (line,)):
+            if k % 2:  # a punctuation run
+                sep += piece
+            elif ws := piece.split():
+                seps.append(sep)
+                sep = ""
+                firsts.append(len(lengths))
+                lengths += map(len, ws)
+                blocks.append("".join(ws))
+        sep += "\n"
+    seps.append(sep[:-1])  # the last line ends without a newline
     if not blocks:
-        raise CorpusError("no segmentable content")
-    corpus = RawCorpus(blocks, cm, seps)
-    return corpus, GoldSegmentation(frozenset(boundaries), off)
-
-
-def _split_blocks(
-    corpus: RawCorpus, punctuation: set[str]
-) -> tuple[RawCorpus, list[int]]:
-    """Split blocks at punctuation runs.
-
-    Returns the new corpus and, for each old character position, the number
-    of surviving characters strictly before it (i.e. its new position).
-    """
-    cm = corpus.charmap
-    punct_ids = {cm.ids[c] for c in punctuation if c in cm.ids}
-    new_blocks: list[list[int]] = []
-    new_seps: list[str] = [corpus.separators[0]]
-    remap: list[int] = []
-    kept = 0
-    for block, sep_after in zip(corpus.blocks, corpus.separators[1:]):
-        cur: list[int] = []
-        for cid in block:
-            remap.append(kept)
-            if cid in punct_ids:
-                if cur:
-                    new_blocks.append(cur)
-                    new_seps.append("")
-                    cur = []
-                new_seps[-1] += cm.chars[cid]
-            else:
-                cur.append(cid)
-                kept += 1
-        if cur:
-            new_blocks.append(cur)
-            new_seps.append(sep_after)
-        else:
-            new_seps[-1] += sep_after
-    remap.append(kept)
-    if not new_blocks:
         raise CorpusError("corpus is entirely punctuation")
-    out = RawCorpus(new_blocks, cm, new_seps, corpus.source_digest)
-    return out, remap
-
-
-def _apply_hard_with_gold(
-    corpus: RawCorpus, gold: GoldSegmentation, punctuation: set[str]
-) -> tuple[RawCorpus, GoldSegmentation]:
-    new_corpus, remap = _split_blocks(corpus, punctuation)
-    n = new_corpus.n_chars
-    edges = new_corpus.block_edges()
-    mapped = {remap[p] for p in gold.boundaries}
-    mapped |= edges
-    mapped = {p for p in mapped if 0 < p < n}
-    return new_corpus, GoldSegmentation(frozenset(mapped), n)
+    starts = np.cumsum(lengths) - lengths
+    # copied from a set, a frozenset's table is sized to fit, half what
+    # growing it from a list can leave
+    gold = frozenset(set(starts[1:].tolist()))
+    points = np.array([ord(c) for c in chars], np.uint32)
+    by_point = np.argsort(points)
+    kept = np.frombuffer("".join(blocks).encode("utf-32-le"), np.uint32)
+    codes = by_point[np.searchsorted(points[by_point], kept)]
+    corpus = RawCorpus(codes, starts[firsts], chars, seps,
+                       hashlib.sha256(raw).hexdigest())
+    return corpus, GoldSegmentation(gold, len(codes))
 
 
 def write_segmentation(
@@ -295,7 +215,7 @@ def write_segmentation(
     path.write_text(corpus.render(bl), encoding="utf-8")
     meta = {
         "n_chars": corpus.n_chars,
-        "n_blocks": len(corpus.blocks),
+        "n_blocks": len(corpus.offsets),
         "boundaries": bl,
     }
     path.with_suffix(path.suffix + ".json").write_text(

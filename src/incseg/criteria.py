@@ -51,42 +51,20 @@ class SegmentedText:
     over the total).  ``k[n]`` is the number of distinct order-n grams.
     """
 
-    def __init__(self, blocks: list[list[int]], type_surfaces: list[str]):
-        symbols = sorted(set("".join(type_surfaces)))
-        ids = {c: i for i, c in enumerate(symbols)}
-        first = np.array([j == 0 for b in blocks for j in range(len(b))], bool)
-        self._build(np.array([t for b in blocks for t in b], np.int64), first,
-                    np.array([len(s) for s in type_surfaces], np.int64),
-                    np.array([ids[c] for s in type_surfaces for c in s],
-                             np.int64), symbols)
-
-    @classmethod
-    def from_boundaries(cls, corpus: RawCorpus,
-                        boundaries: Iterable[int]) -> "SegmentedText":
+    def __init__(self, corpus: RawCorpus, boundaries: Iterable[int]):
         """Words between the boundaries inside blocks and the block edges."""
-        b = (boundaries if isinstance(boundaries, np.ndarray)
-             else np.fromiter(boundaries, np.int64))
-        n = corpus.n_chars
-        starts = np.sort(np.concatenate((b[(b > 0) & (b < n)],
-                                         corpus.offsets)))
-        starts = starts[np.diff(starts, prepend=-1) > 0]
-        lengths = np.diff(starts, append=n)
+        starts = corpus.word_starts(boundaries)
+        lengths = np.diff(starts, append=corpus.n_chars)
         tid, rep = corpus.type_words(starts, lengths)
         first = np.isin(starts, corpus.offsets)
         lens = lengths[rep]
         spelled = np.arange(lens.sum()) + np.repeat(
             starts[rep] - np.cumsum(lens) + lens, lens)
-        st = cls.__new__(cls)
-        st._build(tid, first, lens, corpus.codes[spelled],
-                  corpus.charmap.chars)
-        return st
-
-    def _build(self, tid, first, type_lengths, type_chars, symbols) -> None:
-        n_types, self.total = len(type_lengths), len(tid)
-        self.type_lengths, self.type_chars = type_lengths, type_chars
-        self.symbols = symbols
+        n_types, self.total = len(lens), len(tid)
+        self.type_lengths, self.type_chars = lens, corpus.codes[spelled]
+        self.symbols = corpus.chars
         self.type_counts = np.bincount(tid, minlength=n_types)
-        self.n_chars = int(self.type_counts @ type_lengths)
+        self.n_chars = int(self.type_counts @ lens)
         a, b = self.type_counts[tid], np.full(self.total, self.total)
         self.terms, self.k = {}, {}
         gram = tid  # id of the order-(n-1) gram each word closes
@@ -103,13 +81,6 @@ class SegmentedText:
             self.terms[n], self.k[n] = (a, b), len(count)
             gram = np.zeros(self.total, np.int64)
             gram[at] = gram_at
-
-    @property
-    def type_surfaces(self) -> list[str]:
-        """Each type's string, in type-id order."""
-        text = "".join([self.symbols[c] for c in self.type_chars.tolist()])
-        ends = np.cumsum(self.type_lengths).tolist()
-        return [text[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def neg_log_likelihood(st: SegmentedText, n: int) -> float:
@@ -179,7 +150,7 @@ def evaluate(st: SegmentedText) -> dict[str, CriterionValue]:
 def evaluate_boundaries(corpus: RawCorpus, boundaries: Iterable[int]
                         ) -> dict[str, CriterionValue]:
     """Score a segmentation given as a boundary set over the corpus."""
-    return evaluate(SegmentedText.from_boundaries(corpus, boundaries))
+    return evaluate(SegmentedText(corpus, boundaries))
 
 
 def in_bits(value_nats: float) -> float:

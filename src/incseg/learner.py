@@ -15,6 +15,7 @@ position.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -121,6 +122,18 @@ class RunResult:
     wall_time: float
 
 
+@functools.lru_cache(maxsize=1)
+def _xlogx_table(n_chars: int) -> np.ndarray:
+    """x ln x (0 at 0) for every count, total and m a run over ``n_chars``
+    characters can reach, computed as the scalar formula computes it;
+    shared read-only by the runs over one corpus."""
+    xs = range(1, n_chars + 1)
+    table = np.fromiter(chain((0.0,), map(mul, xs, map(log, xs))),
+                        np.float64, n_chars + 1)
+    table.flags.writeable = False
+    return table
+
+
 def penalty(seq: TokenSequence, params: PenaltyParams) -> float:
     """Sum over token occurrences of -alpha + beta * g(length), in nats."""
     g = length_cost(params.kind)
@@ -164,11 +177,7 @@ class LearnerState:
         self._sign = self.options.complexity_sign
         self._g = length_cost(params.kind)
         self.objective = penalized_likelihood(seq, params, self._sign)
-        # x ln x (0 at 0) for every count, total and m the run can reach,
-        # computed as the scalar formula computes it
-        xs = range(1, seq.n_chars + 1)
-        self._xlx = np.fromiter(chain((0.0,), map(mul, xs, map(log, xs))),
-                                np.float64, seq.n_chars + 1)
+        self._xlx = _xlogx_table(seq.n_chars)
         self._ids = np.zeros((self.options.n_max, 0), np.int64)
         self._mult = np.zeros((self.options.n_max, 0), np.int64)
         self._n = np.zeros(0, np.int64)

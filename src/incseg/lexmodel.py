@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import RawCorpus
+from .corpus import RawCorpus, distinct
 
 TokenTuple = tuple[int, ...]
 
@@ -61,7 +61,7 @@ class TokenSequence:
     lengths: list[int]
     total: int
     n_chars: int
-    block_starts: list[int]
+    offsets: np.ndarray  # the corpus's block offsets
 
     def new_token(self, length: int) -> int:
         self.counts.append(0)
@@ -88,7 +88,7 @@ class TokenSequence:
 
     def to_blocks(self) -> list[list[int]]:
         live = np.flatnonzero(self.tok >= 0)
-        cuts = np.searchsorted(live, self.block_starts[1:])
+        cuts = np.searchsorted(live, self.offsets[1:])
         return [b.tolist() for b in np.split(self.tok[live], cuts)]
 
     def boundary_set(self) -> set[int]:
@@ -107,7 +107,7 @@ class TokenSequence:
 
 def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     """Character-level starting state: one token per character."""
-    n_base = len(corpus.charmap)
+    n_base = len(corpus.chars)
     n = corpus.n_chars
     tok = corpus.codes.copy()  # merges rewrite the sequence's tokens
     starts = corpus.offsets
@@ -116,9 +116,8 @@ def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     prv = np.arange(-1, n - 1, dtype=np.int64)
     prv[starts] = -1
     counts = np.bincount(tok, minlength=n_base).tolist()
-    seq = TokenSequence(tok, nxt, prv, counts, [1] * n_base, n, n,
-                        starts.tolist())
-    return seq, Lexicon(corpus.charmap.chars)
+    seq = TokenSequence(tok, nxt, prv, counts, [1] * n_base, n, n, starts)
+    return seq, Lexicon(corpus.chars)
 
 
 @dataclass
@@ -237,7 +236,7 @@ class CandidateIndex:
     def _settle(self, met: list[np.ndarray]) -> None:
         """Recount the self-overlapping ids met, whose position counts are
         not greedy counts; free every id met left at 0."""
-        ids = np.unique(np.concatenate(met))
+        ids = distinct(np.concatenate(met))
         for i in ids[self._overlaps[ids]].tolist():
             self.m[i] = len(self._sites(i))
         for i in ids[self.m[ids] == 0].tolist():
@@ -277,7 +276,7 @@ class CandidateIndex:
             q = seq.prv[q]
             q = q[q != -1]
             near.append(q)
-        near = np.unique(np.concatenate(near))
+        near = distinct(np.concatenate(near))
         met = self._deregister(near)
         seq.merge(sites, fresh)
         self._settle(met + self._register(near[seq.tok[near] >= 0]))

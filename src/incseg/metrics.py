@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import GoldSegmentation, RawCorpus
+from .corpus import GoldSegmentation, RawCorpus, distinct
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ def _sorted(positions: Iterable[int], *extra: int) -> np.ndarray:
     """Sorted distinct values of ``positions`` and ``extra``."""
     v = (positions if isinstance(positions, np.ndarray)
          else np.fromiter(positions, np.int64))
-    v = np.sort(np.concatenate((v, np.array(extra, np.int64))))
-    return v[np.diff(v, prepend=v[:1] - 1) > 0]
+    return distinct(np.concatenate((v, np.array(extra, np.int64))))
 
 
 def token_prf(hyp: Iterable[int], gold: Iterable[int], n_chars: int) -> PRF:

@@ -129,6 +129,13 @@ def _run_cell(cell: tuple[str, float, float],
                 "alpha": alpha, "beta": beta}
 
 
+def _spell(x: float) -> str:
+    """``x`` as ``:g`` writes it, or in full where ``:g`` would round it,
+    so that distinct values give distinct file names."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
                   options: LearnerOptions, out_dir: Path, trace: bool,
                   kind: str, alpha: float, beta: float) -> dict:
@@ -140,7 +147,7 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
     trace_rel = None
     if trace:  # a criteria trace ends with a snapshot of these boundaries
         crit = result.trace[-1].criteria
-        trace_rel = f"traces/{kind}_a{alpha:g}_b{beta:g}.jsonl"
+        trace_rel = f"traces/{kind}_a{_spell(alpha)}_b{_spell(beta)}.jsonl"
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
         _learner.write_trace(result.trace, out_dir / trace_rel)
     else:

@@ -1,9 +1,10 @@
 """Independent reference computations used to check the package's outputs.
 
-The scorers here evaluate segmentations straight from boundary sets and
-word strings.  The sequence helpers rescan the token sequence from scratch
-and compress it without a candidate index, so they check what
-``CandidateIndex`` maintains incrementally.
+The corpus parser here works on strings in two passes.  The scorers
+evaluate segmentations straight from boundary sets and word strings.  The
+sequence helpers rescan the token sequence from scratch and compress it
+without a candidate index, so they check what ``CandidateIndex`` maintains
+incrementally.
 """
 
 from __future__ import annotations
@@ -16,7 +17,79 @@ from math import fsum, log
 
 import numpy as np
 
-from incseg.criteria import SegmentedText
+from incseg.corpus import CorpusError
+
+
+# -- the corpus, parsed in two passes over strings ---------------------------
+
+
+def reference_parse(text, hard_punct=None):
+    """Parse a gold-segmented text as line blocks of words, then split each
+    block at runs of ``hard_punct``, remapping the gold boundaries through
+    one entry per character.  Returns ``(blocks, chars, separators,
+    boundaries)`` with the blocks as strings and ``chars`` in order of
+    first appearance, or raises the ``CorpusError`` that ``load_gold``
+    raises, its message without the path."""
+    if not text.strip():
+        raise CorpusError("empty corpus file")
+    chars = list(dict.fromkeys("".join(text.split())))
+    blocks, seps, bounds, off = [], [""], set(), 0
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        tail = "\n" if i < len(lines) - 1 else ""
+        words = line.split()
+        if not words:
+            seps[-1] += line + tail
+            continue
+        for w in words:
+            if off:
+                bounds.add(off)
+            off += len(w)
+        blocks.append("".join(words))
+        seps.append(tail)
+    punct = set(hard_punct or ()) & set(chars)
+    if not punct:
+        return blocks, chars, seps, bounds
+    split, split_seps, remap, kept = [], [seps[0]], [], 0
+    for block, sep_after in zip(blocks, seps[1:]):
+        cur = ""
+        for c in block:
+            remap.append(kept)
+            if c in punct:
+                if cur:
+                    split.append(cur)
+                    split_seps.append("")
+                    cur = ""
+                split_seps[-1] += c
+            else:
+                cur += c
+                kept += 1
+        if cur:
+            split.append(cur)
+            split_seps.append(sep_after)
+        else:
+            split_seps[-1] += sep_after
+    remap.append(kept)
+    if not split:
+        raise CorpusError("corpus is entirely punctuation")
+    edges = set(itertools.accumulate(len(b) for b in split[:-1]))
+    bounds = {p for p in {remap[p] for p in bounds} | edges if 0 < p < kept}
+    return split, chars, split_seps, bounds
+
+
+def reference_render(blocks, separators, boundaries):
+    """The separators and blocks joined, one space at each boundary inside
+    a block."""
+    out, off = [separators[0]], 0
+    for block, sep in zip(blocks, separators[1:]):
+        out += [" " + c if j and off + j in boundaries else c
+                for j, c in enumerate(block)]
+        out.append(sep)
+        off += len(block)
+    return "".join(out)
+
+
+# -- segmentations and criteria -----------------------------------------------
 
 
 def enumerate_segmentations(corpus):
@@ -30,12 +103,8 @@ def enumerate_segmentations(corpus):
 
 
 def _in_block(corpus, p):
-    off = 0
-    for b in corpus.blocks:
-        if off < p < off + len(b):
-            return True
-        off += len(b)
-    return False
+    ends = [*corpus.offsets.tolist()[1:], corpus.n_chars]
+    return any(a < p < b for a, b in zip(corpus.offsets.tolist(), ends))
 
 
 def oracle_criteria(corpus, boundaries):
@@ -49,12 +118,11 @@ def oracle_criteria(corpus, boundaries):
     """
     chars = corpus.char_string()
     cuts = sorted(boundaries)
-    blocks, off = [], 0
-    for b in corpus.blocks:
-        inner = [p for p in cuts if off < p < off + len(b)]
-        edges = [off, *inner, off + len(b)]
+    blocks = []
+    starts = corpus.offsets.tolist()
+    for off, end in zip(starts, [*starts[1:], corpus.n_chars]):
+        edges = [off, *(p for p in cuts if off < p < end), end]
         blocks.append([chars[x:y] for x, y in zip(edges, edges[1:])])
-        off += len(b)
     unigram = Counter(w for b in blocks for w in b)
     m = sum(unigram.values())
     big_n = sum(len(w) * c for w, c in unigram.items())
@@ -212,7 +280,7 @@ def walk(seq):
     """Each block's live positions, found by following the links."""
     nxt = seq.nxt.tolist()
     blocks = []
-    for p in seq.block_starts:
+    for p in seq.offsets.tolist():
         blocks.append([])
         while p != -1:
             blocks[-1].append(p)
@@ -224,7 +292,7 @@ def _scan_sites(seq, s):
     n = len(s)
     tok, nxt = seq.tok.tolist(), seq.nxt.tolist()
     sites = []
-    for start in seq.block_starts:
+    for start in seq.offsets.tolist():
         p = start
         while p != -1:
             site = []
@@ -324,21 +392,3 @@ def verify_sequence(seq, lex, corpus=None):
             lex.surface(tok[p]) for block in blocks for p in block)
         assert expanded == corpus.char_string()
 
-
-def segmented_text_from_token_sequence(seq, lex):
-    """Surface-typed view of a token sequence, read off the lexicon rather
-    than off a boundary set."""
-    interned = {}
-    surfaces = []
-    blocks = []
-    tok = seq.tok.tolist()
-    for block in walk(seq):
-        ids = []
-        for p in block:
-            surface = lex.surface(tok[p])
-            if surface not in interned:
-                interned[surface] = len(surfaces)
-                surfaces.append(surface)
-            ids.append(interned[surface])
-        blocks.append(ids)
-    return SegmentedText(blocks, surfaces)

@@ -363,6 +363,25 @@ def test_trace_every_below_one_is_one_line_error(corpus_file, tmp_path,
     assert list(tmp_path.iterdir()) == [corpus_file]
 
 
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_trace_snapshots_needs_trace_out(corpus_file, tmp_path, capsys,
+                                         from_config):
+    out = tmp_path / "s.txt"
+    argv = ["segment", str(corpus_file), "--out", str(out)]
+    if from_config:
+        cfg = tmp_path / "seg.cfg"
+        cfg.write_text("trace-snapshots = true\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append("--trace-snapshots")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "incseg: error: --trace-snapshots needs --trace-out"]
+    assert not out.exists()
+
 REQUIRED_FROM_CONFIG = {  # command: (other words, required flag entries)
     "grid": (["{corpus}", "--alpha", "0", "--beta", "0"], {"out": "{tmp}/g"}),
     "staged": (["{corpus}"], {"alpha": "0", "beta": "0", "out": "{tmp}/st"}),

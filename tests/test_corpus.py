@@ -1,5 +1,7 @@
 """Corpus loading, hard boundaries, and serialization round trips."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from incseg.corpus import (CorpusError, default_punctuation, load_gold,
                            write_segmentation)
 
 from conftest import make_corpus
+from oracles import reference_parse, reference_render
 
 
 def words(corpus, gold):
@@ -17,7 +20,7 @@ def words(corpus, gold):
 
 def test_brent_line(tmp_path):
     corpus, gold = make_corpus("yu want tu si D6 bUk\n", tmp_path=tmp_path)
-    assert len(corpus.blocks) == 1
+    assert len(corpus.offsets) == 1
     assert corpus.n_chars == len("yuwanttusiD6bUk")
     assert words(corpus, gold) == ["yu", "want", "tu", "si", "D6", "bUk"]
     assert len(gold.boundaries) == 5  # all internal; single block
@@ -32,7 +35,7 @@ def test_single_word_line(tmp_path):
 
 def test_two_line_file(tmp_path):
     corpus, gold = make_corpus("ab\ncd\n", tmp_path=tmp_path)
-    assert len(corpus.blocks) == 2
+    assert len(corpus.offsets) == 2
     assert corpus.n_chars == 4
     assert gold.boundaries == frozenset({2})
     assert corpus.block_edges() == frozenset({2})
@@ -70,7 +73,7 @@ def test_unknown_format(tmp_path):
 def test_hard_boundaries_cjk_comma(tmp_path):
     corpus, gold = make_corpus("AB，CD\n", tmp_path=tmp_path,
                                hard_punct={"，"})
-    assert [len(b) for b in corpus.blocks] == [2, 2]
+    assert corpus.offsets.tolist() == [0, 2]
     assert "，" in corpus.separators[1]
     assert corpus.char_string() == "ABCD"
     # round trip restores the comma verbatim
@@ -82,7 +85,9 @@ def test_hard_boundaries_identity_without_punct(tmp_path):
     plain, plain_gold = make_corpus(text, tmp_path=tmp_path)
     for punct in (set(), {"。"}):
         corpus, gold = make_corpus(text, tmp_path=tmp_path, hard_punct=punct)
-        assert corpus.blocks == plain.blocks
+        assert corpus.codes.tolist() == plain.codes.tolist()
+        assert corpus.offsets.tolist() == plain.offsets.tolist()
+        assert corpus.chars == plain.chars
         assert corpus.separators == plain.separators
         assert gold == plain_gold
 
@@ -90,7 +95,7 @@ def test_hard_boundaries_identity_without_punct(tmp_path):
 def test_leading_punctuation_run(tmp_path):
     corpus, _ = make_corpus("。。AB\n", tmp_path=tmp_path,
                             hard_punct={"。"})
-    assert len(corpus.blocks) == 1
+    assert len(corpus.offsets) == 1
     assert corpus.char_string() == "AB"
     assert corpus.separators[0] == "。。"
 
@@ -108,7 +113,7 @@ def test_hard_boundary_preserves_characters(tmp_path):
 def test_all_punctuation_block_absorbed(tmp_path):
     corpus, gold = make_corpus("ab\n！！\ncd\n", fmt="sighan",
                                tmp_path=tmp_path, hard_punct={"！"})
-    assert len(corpus.blocks) == 2
+    assert len(corpus.offsets) == 2
     assert corpus.render(gold.boundaries) == "ab\n！！\ncd\n"
 
 
@@ -175,3 +180,52 @@ def test_roundtrip_random(tmp_path_factory, blocks):
     corpus2, gold2 = make_corpus(corpus.render(gold.boundaries))
     assert gold2.boundaries == gold.boundaries
     assert corpus2.char_string() == corpus.char_string()
+
+
+PUNCT = "，。!"
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\u3000", "\r"])
+
+
+@st.composite
+def gold_line(draw):
+    kind = draw(st.sampled_from(["words", "words", "punct", "blank"]))
+    if kind == "blank":  # empty or whitespace only
+        return draw(SPACE)
+    letters = PUNCT if kind == "punct" else "ab" + PUNCT
+    words = draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=5),
+                          min_size=1, max_size=4))
+    gaps = draw(st.lists(SPACE.filter(bool), min_size=len(words) - 1,
+                         max_size=len(words) - 1))
+    body = "".join(itertools.chain.from_iterable(
+        itertools.zip_longest(words, gaps, fillvalue="")))
+    return draw(SPACE) + body + draw(SPACE)
+
+
+gold_texts = st.builds(lambda lines, end: "\n".join(lines) + end,
+                       st.lists(gold_line(), min_size=1, max_size=6),
+                       st.sampled_from(["", "\n"]))
+punct_sets = st.one_of(st.none(), st.sets(
+    st.sampled_from([*PUNCT, " ", "ab"])))
+
+
+@given(gold_texts, punct_sets)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_parse_matches_two_pass_reference(text, punct):
+    try:
+        blocks, chars, seps, bounds = reference_parse(text, punct)
+    except CorpusError as e:
+        with pytest.raises(CorpusError) as got:
+            make_corpus(text, hard_punct=punct)
+        assert str(got.value).endswith(str(e))
+        return
+    corpus, gold = make_corpus(text, hard_punct=punct)
+    stream = "".join(blocks)
+    assert corpus.chars == chars
+    assert corpus.codes.tolist() == [chars.index(c) for c in stream]
+    assert corpus.offsets.tolist() == [
+        0, *itertools.accumulate(len(b) for b in blocks[:-1])]
+    assert corpus.separators == seps
+    assert gold.boundaries == bounds and gold.n_chars == len(stream)
+    for cuts in (gold.boundaries, (), range(-1, len(stream) + 2)):
+        assert corpus.render(cuts) == reference_render(blocks, seps,
+                                                       set(cuts))

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from math import fsum, log
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,14 +17,13 @@ from incseg.learner import LearnerOptions, PenaltyParams, run
 from incseg.lexmodel import init_from_corpus
 
 from conftest import benchmark_corpus, make_corpus, random_gold_text
-from oracles import (apply_compression, enumerate_segmentations,
-                     oracle_criteria, oracle_unigram_scores,
-                     segmented_text_from_token_sequence)
+from oracles import (enumerate_segmentations, oracle_criteria,
+                     oracle_unigram_scores)
 
 
 def seg_for(text, boundaries):
     corpus, _ = make_corpus(text)
-    return corpus, SegmentedText.from_boundaries(corpus, boundaries)
+    return corpus, SegmentedText(corpus, boundaries)
 
 
 # -- negative log likelihood ---------------------------------------------
@@ -131,7 +131,7 @@ def test_aicc_deterministic_sequence_value():
 def test_mdl_components_reconstruct():
     corpus, _ = make_corpus(random_gold_text(random.Random(1), 200, 6))
     res = run(corpus, PenaltyParams(0.3, 0.3))
-    st_ = SegmentedText.from_boundaries(corpus, res.hypothesis.boundaries)
+    st_ = SegmentedText(corpus, res.hypothesis.boundaries)
     vals = evaluate(st_)
     for n in (1, 2, 3):
         cv = vals[f"mdl{n}"]
@@ -151,7 +151,7 @@ def test_mdl_cbl_independent_of_order():
 def test_initial_state_cbl_is_character_inventory_cost():
     # character-level segmentation: lexicon = {a, b, c}, coded once each
     corpus, _ = make_corpus("abcabc\n")
-    st_ = SegmentedText.from_boundaries(corpus, set(range(1, 6)))
+    st_ = SegmentedText(corpus, set(range(1, 6)))
     sym = Counter("abc")
     z = sum(sym.values()) + 3  # one end mark per entry
     expect = -fsum(c * log(c / z) for c in sym.values()) - 3 * log(3 / z)
@@ -162,8 +162,8 @@ def test_nll_doubles_when_corpus_doubles():
     text = "tupa se\nkomi tupa\n"
     corpus1, gold1 = make_corpus(text)
     corpus2, gold2 = make_corpus(text * 2)
-    st1 = SegmentedText.from_boundaries(corpus1, gold1.boundaries)
-    st2 = SegmentedText.from_boundaries(corpus2, gold2.boundaries)
+    st1 = SegmentedText(corpus1, gold1.boundaries)
+    st2 = SegmentedText(corpus2, gold2.boundaries)
     assert neg_log_likelihood(st2, 1) == pytest.approx(
         2 * neg_log_likelihood(st1, 1), abs=1e-9)
 
@@ -244,17 +244,30 @@ def test_in_bits():
     assert in_bits(math.log(2)) == pytest.approx(1.0)
 
 
+def merge_at(seq, lex, positions):
+    """Merge the tokens at ``positions`` into a new token at this one site."""
+    parts = tuple(seq.tok[positions].tolist())
+    fresh = seq.new_token(sum(seq.lengths[w] for w in parts))
+    lex.define(parts, "".join(lex.surface(w) for w in parts))
+    seq.merge(np.array([positions]), fresh)
+
+
 def test_surface_canonicalization_merges_duplicate_types():
-    # learner lexicon may reach "abc" via different compositions;
-    # criteria must treat them as one type
-    corpus, _ = make_corpus("abc abc\n")
+    # a learner lexicon may reach "abc" by different compositions;
+    # criteria must treat them as one type, as the string oracle does
+    corpus, _ = make_corpus("abcabc d\n")
     seq, lex = init_from_corpus(corpus)
-    a, b, c = (corpus.charmap.ids[ch] for ch in "abc")
-    d1 = apply_compression(seq, lex, (a, b))       # ab at first word
-    st_seq = segmented_text_from_token_sequence(seq, lex)
-    st_bounds = SegmentedText.from_boundaries(corpus, seq.boundary_set())
-    assert sorted(st_seq.type_surfaces) == sorted(st_bounds.type_surfaces)
-    assert neg_log_likelihood(st_seq, 1) == neg_log_likelihood(st_bounds, 1)
+    merge_at(seq, lex, [0, 1])  # ab
+    merge_at(seq, lex, [0, 2])  # (ab)c
+    merge_at(seq, lex, [4, 5])  # bc
+    merge_at(seq, lex, [3, 4])  # a(bc)
+    tok = seq.tok.tolist()
+    assert tok[0] != tok[3] and lex.surface(tok[0]) == lex.surface(tok[3])
+    bounds = seq.boundary_set()
+    assert bounds == {3, 6}
+    assert SegmentedText(corpus, bounds).type_counts.tolist() == [1, 2]
+    assert (_fields(evaluate_boundaries(corpus, bounds))
+            == oracle_criteria(corpus, bounds))
 
 
 # -- exhaustive enumerator oracle -------------------------------------------

@@ -26,7 +26,7 @@ def state_for(text, params=None, options=None):
 
 
 def ids(corpus, s):
-    return tuple(corpus.charmap.ids[c] for c in s)
+    return tuple(corpus.chars.index(c) for c in s)
 
 
 def table_m(state, t):
@@ -157,7 +157,7 @@ def delta_oracle(corpus, state, t):
     """Full-recompute change for compressing t, on a throwaway copy."""
     seq2, lex2 = init_from_corpus(corpus)
     # replay history
-    for tid in range(len(corpus.charmap), len(state.lex)):
+    for tid in range(len(corpus.chars), len(state.lex)):
         apply_compression(seq2, lex2, state.lex.entries[tid].components)
     before = penalized_likelihood(seq2, state.params,
                                   state.options.complexity_sign)

@@ -21,7 +21,7 @@ def seq_for(text, tmp_path=None):
 
 
 def ids(corpus, s):
-    return tuple(corpus.charmap.ids[c] for c in s)
+    return tuple(corpus.chars.index(c) for c in s)
 
 
 def test_init_counts():

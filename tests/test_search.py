@@ -144,6 +144,21 @@ def test_traced_cell_scores_final_boundaries_once(toy, tmp_path,
                             for cid, cv in real(corpus, bounds).items()}
 
 
+
+def test_traced_cells_six_digits_apart_keep_their_own_files(toy, tmp_path):
+    corpus, gold = toy
+    spec = GridSpec(parse_range("1:1.0000002:0.0000001"), (0.0,), ("xlogx",))
+    assert spec.alphas == (1.0, 1.0000001)
+    records = run_grid(corpus, gold, spec, tmp_path / "g", trace=True)
+    files = [r.trace_file for r in records]
+    assert len(set(files)) == 2
+    assert files[0] == "traces/xlogx_a1_b0.jsonl"  # :g spelling kept
+    for rec in records:
+        row = json.loads((tmp_path / "g" / rec.trace_file).read_text()
+                         .splitlines()[-1])
+        assert row["iteration"] == rec.iterations
+        assert row["objective"] == rec.objective
+
 @pytest.mark.parametrize("trace, mode", [(False, "none"),
                                          (True, "criteria")])
 def test_cell_trace_mode_follows_trace_alone(toy, tmp_path, monkeypatch,
