@@ -34,8 +34,8 @@ def main() -> None:
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    punct = default_punctuation(Path(args.corpus).read_text(encoding="utf-8"))
-    corpus, gold = load_gold(args.corpus, "sighan", hard_punct=punct)
+    corpus, gold = load_gold(args.corpus, "sighan",
+                             hard_punct=default_punctuation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"{corpus.n_chars} chars, {len(gold.word_spans())} words, "

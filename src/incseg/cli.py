@@ -67,23 +67,18 @@ def _add_learner_flags(p: argparse.ArgumentParser, with_penalty: bool,
                    help="stop as soon as an improving candidate exists")
 
 
-def _hard_punct(punct_set: str | None, punct_hard: bool,
-                text_path: str) -> set[str] | None:
+def _hard_punct(punct_set: str | None, punct_hard: bool):
     """The characters whose runs are hard boundaries, for every command:
     those of ``--punct-set``, else with ``--punct-hard`` the Unicode P*
-    characters of ``text_path``, else none."""
+    characters of the text being loaded, else none."""
     if punct_set is not None:
         return set(punct_set)
-    if punct_hard:
-        return default_punctuation(
-            Path(text_path).read_text(encoding="utf-8"))
-    return None
+    return default_punctuation if punct_hard else None
 
 
 def _load_corpus(ns: argparse.Namespace):
     return load_gold(ns.corpus, ns.format,
-                     hard_punct=_hard_punct(ns.punct_set, ns.punct_hard,
-                                            ns.corpus))
+                     hard_punct=_hard_punct(ns.punct_set, ns.punct_hard))
 
 
 def _learner_options(ns: argparse.Namespace, **tracing) -> LearnerOptions:
@@ -204,9 +199,8 @@ def _cmd_select(ns: argparse.Namespace) -> int:
 
 
 def _cmd_ensemble(ns: argparse.Namespace) -> int:
-    loaded = [load_gold(p, ns.format,
-                        hard_punct=_hard_punct(ns.punct_set, False, p))
-              for p in ns.inputs]
+    punct = _hard_punct(ns.punct_set, False)
+    loaded = [load_gold(p, ns.format, hard_punct=punct) for p in ns.inputs]
     base_corpus, _ = loaded[0]
     stream = base_corpus.char_string()
     edges = base_corpus.block_edges()
@@ -224,8 +218,10 @@ def _cmd_ensemble(ns: argparse.Namespace) -> int:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    punct = _hard_punct(ns.punct_set, ns.punct_hard, ns.gold)
+    punct = _hard_punct(ns.punct_set, ns.punct_hard)
     gold_corpus, gold = load_gold(ns.gold, ns.format, hard_punct=punct)
+    if punct is default_punctuation:  # the gold file's P* cuts both files
+        punct = default_punctuation("".join(gold_corpus.chars))
     hyp_corpus, hyp = load_gold(ns.hyp, ns.format, hard_punct=punct)
     if hyp_corpus.char_string() != gold_corpus.char_string():
         raise RuntimeError("hypothesis and gold character streams differ")

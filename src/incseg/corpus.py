@@ -15,7 +15,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def default_punctuation(text: str) -> set[str]:
 def load_gold(
     path: str | Path,
     format: str = "brent",
-    hard_punct: set[str] | None = None,
+    hard_punct: set[str] | Callable[[str], set[str]] | None = None,
 ) -> tuple[RawCorpus, GoldSegmentation]:
     """Load a gold-segmented file; derive the unsegmented corpus and gold boundaries.
 
@@ -153,7 +153,9 @@ def load_gold(
     per Unicode scalar.  A line without words joins the separator verbatim.
     When ``hard_punct`` is given, its runs inside a line become hard block
     separators and are dropped from the character stream; every word piece
-    they leave starts a gold word.
+    they leave starts a gold word.  A callable ``hard_punct`` is given the
+    text's distinct non-space characters as one string and returns the
+    set, so that the file is read once.
     """
     if format not in ("brent", "sighan"):
         raise CorpusError(f"unknown format {format!r}")
@@ -166,6 +168,8 @@ def load_gold(
     chars = [c for c in dict.fromkeys(text) if not c.isspace()]
     if not chars:
         raise CorpusError(f"{path}: empty corpus file")
+    if callable(hard_punct):
+        hard_punct = hard_punct("".join(chars))
     # only characters that can occur inside a word can cut one
     punct = "".join(c for c in hard_punct or () if len(c) == 1 and not c.isspace())
     cut = re.compile(f"([{re.escape(punct)}]+)").split if punct else None

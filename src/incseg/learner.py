@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from math import fsum, log
-from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,12 +51,10 @@ class PenaltyParams:
 
 
 def length_cost(kind: str) -> Callable[[int], float]:
-    """Super-additive per-token length cost g(x)."""
+    """Super-additive per-token length cost g(x) of a checked kind."""
     if kind == "xlogx":
         return lambda x: x * log(x)
-    if kind == "xsquared":
-        return lambda x: float(x * x)
-    raise ValueError(f"unknown penalty kind {kind!r}")
+    return lambda x: float(x * x)
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,10 @@ class LearnerOptions:
     literal_stop: bool = False         # stop on improvement, as printed
 
     def __post_init__(self) -> None:
+        if not 2 <= self.n_max <= 4:
+            raise ValueError(f"n_max must be in 2..4, got {self.n_max}")
+        if self.stop_at is not None and self.stop_at < 0:
+            raise ValueError(f"stop_at must be >= 0, got {self.stop_at}")
         if self.trace_interval < 1:
             raise ValueError("trace interval must be at least 1, got "
                              f"{self.trace_interval}")
@@ -122,14 +123,13 @@ class RunResult:
     wall_time: float
 
 
-@functools.lru_cache(maxsize=1)
-def _xlogx_table(n_chars: int) -> np.ndarray:
-    """x ln x (0 at 0) for every count, total and m a run over ``n_chars``
-    characters can reach, computed as the scalar formula computes it;
-    shared read-only by the runs over one corpus."""
-    xs = range(1, n_chars + 1)
-    table = np.fromiter(chain((0.0,), map(mul, xs, map(log, xs))),
-                        np.float64, n_chars + 1)
+@functools.lru_cache(maxsize=2)
+def _cost_table(kind: str, n_chars: int) -> np.ndarray:
+    """``length_cost(kind)`` (0 at 0) for every x up to ``n_chars``; shared
+    read-only by the runs over one corpus.  The ``xlogx`` table also gives
+    x ln x for every count, total and m a run can reach."""
+    g = map(length_cost(kind), range(1, n_chars + 1))
+    table = np.fromiter(chain((0.0,), g), np.float64, n_chars + 1)
     table.flags.writeable = False
     return table
 
@@ -154,13 +154,13 @@ def penalized_likelihood(seq: TokenSequence, params: PenaltyParams,
 
 
 class LearnerState:
-    """One in-progress compression run: sequence, lexicon, candidate table.
+    """One in-progress compression run: sequence, lexicon and the scores of
+    the candidate index's n-gram ids.
 
-    The table's rows are the index's n-gram ids.  A row holds the n-gram's
-    distinct component ids with their multiplicities (padded to ``n_max``
-    slots), its length and its beta length term, filled when the id is
-    born and unchanged while it lives.  The greedy count ``m`` is read from
-    the index; a free id has m 0 and scores inf.
+    The index owns the candidate table's columns: tokens, multiplicities,
+    length and greedy count ``m``; a free id has m 0 and scores inf.  The
+    state adds the one column that depends on the penalty kind, each id's
+    beta length term ``_gl``, filled when the id is born.
     """
 
     def __init__(self, seq: TokenSequence, lex: Lexicon,
@@ -175,47 +175,27 @@ class LearnerState:
         self.index = CandidateIndex(seq, self.options.n_max)
         self._ln_n = log(seq.n_chars)
         self._sign = self.options.complexity_sign
-        self._g = length_cost(params.kind)
         self.objective = penalized_likelihood(seq, params, self._sign)
-        self._xlx = _xlogx_table(seq.n_chars)
-        self._ids = np.zeros((self.options.n_max, 0), np.int64)
-        self._mult = np.zeros((self.options.n_max, 0), np.int64)
-        self._n = np.zeros(0, np.int64)
+        self._xlx = _cost_table("xlogx", seq.n_chars)
+        self._g = _cost_table(params.kind, seq.n_chars)
         self._gl = np.zeros(0, np.float64)
         self._sync(self.index.consume_dirty()[1])
 
-    # -- candidate table -----------------------------------------------
-
     def _sync(self, born: Sequence[int]) -> None:
-        """Fill the static columns of the ids born since the last flush."""
-        grow = len(self.index.m) - len(self._n)
-        if grow:  # the index grew: grow every column alike, zero-filled
-            for name in ("_ids", "_mult", "_n", "_gl"):
-                col = getattr(self, name)
-                setattr(self, name, np.pad(
-                    col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
-        tuples = self.index.tuples
-        lengths = self.seq.lengths
-        g = self._g
-        slots = self.options.n_max
-        ids, mult, gls = [], [], []
-        for i in born:
-            t = tuples[i]
-            comp: dict[int, int] = {}
-            whole = 0
-            parts = 0.0
-            for w in t:
-                comp[w] = comp.get(w, 0) + 1
-                whole += lengths[w]
-                parts += g(lengths[w])
-            pad = [0] * (slots - len(comp))
-            ids.append([*comp, *pad])
-            mult.append([*comp.values(), *pad])
-            gls.append(g(whole) - parts)
-        self._ids[:, born] = np.array(ids).T
-        self._mult[:, born] = np.array(mult).T
-        self._n[born] = [len(tuples[i]) for i in born]
-        self._gl[born] = gls
+        """Fill the beta length term g(whole) - (g(l0) + g(l1) + ...) of
+        the ids born since the last flush, summed in token order."""
+        index = self.index
+        if len(self._gl) < len(index.m):
+            self._gl = np.pad(self._gl, (0, len(index.m) - len(self._gl)))
+        comp = index.comp[:, born]
+        lens = np.fromiter(map(self.seq.lengths.__getitem__,
+                               comp.ravel().tolist()),
+                           np.int64, comp.size).reshape(comp.shape)
+        lens[np.arange(index.n_max)[:, None] >= index.order[born]] = 0
+        parts = 0.0
+        for gl in self._g[lens]:
+            parts = parts + gl
+        self._gl[born] = self._g[lens.sum(0)] - parts
 
     # -- scoring -------------------------------------------------------
 
@@ -227,13 +207,14 @@ class LearnerState:
         row's score does not depend on which other rows are scored with it.
         Free rows score inf.
         """
+        index = self.index
         xlx = self._xlx
         counts = np.array(self.seq.counts, np.int64)
-        m = self.index.m[rows]
-        n = self._n[rows]
+        m = index.m[rows]
+        n = index.order[rows]
         acc = 0.0
         lost = 0                        # components whose count drops to 0
-        for ids, mult in zip(self._ids[:, rows], self._mult[:, rows]):
+        for ids, mult in zip(index.comp[:, rows], index.mult[:, rows]):
             c = counts[ids]
             c2 = c - m * mult
             acc = acc + (xlx[c2] - xlx[c])
@@ -248,21 +229,20 @@ class LearnerState:
         out += xlx[total - m * (n - 1)] - xlx[total]
         return np.where(m > 0, out, np.inf)
 
-    def _select(self) -> tuple[float, int, int] | None:
-        """Exact minimizer's (score, m, id): lowest score, then largest m,
+    def _select(self) -> tuple[float, int] | None:
+        """Exact minimizer's (score, id): lowest score, then largest m,
         then the lowest (first position, n-gram)."""
         index = self.index
-        scores = self._scores(slice(0, len(index.tuples)))
+        scores = self._scores(slice(0, index.size))
         best = scores.min(initial=np.inf)
         if best == np.inf:
             return None
         tied = np.flatnonzero(scores == best)
         m = index.m[tied]
-        top = m.max()
-        tied = tied[m == top].tolist()
+        tied = tied[m == m.max()].tolist()
         i = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda j: (index.first_position(j), index.tuples[j]))
-        return float(best), int(top), i
+            tied, key=lambda j: (index.first_position(j), index.tuple_of(j)))
+        return float(best), i
 
     def score_candidate(self, s: Sequence[int]) -> float:
         """Exact objective change if ``s`` were compressed now."""
@@ -274,7 +254,7 @@ class LearnerState:
     # -- stepping ------------------------------------------------------
 
     def _apply(self, i: int, delta: float) -> CompressionEvent:
-        t = self.index.tuples[i]
+        t = self.index.tuple_of(i)
         cd = self.index.apply(i, self.lex)
         self.objective += delta
         self.iteration += 1
@@ -305,11 +285,8 @@ def step(state: LearnerState) -> CompressionEvent | None:
     found = state._select()
     if found is None:
         return None
-    delta, _, i = found
-    if state.options.literal_stop:
-        if delta < 0:
-            return None
-    elif delta >= 0:
+    delta, i = found
+    if (delta < 0) == state.options.literal_stop:  # literal: stop on a gain
         return None
     return state._apply(i, delta)
 

@@ -7,6 +7,7 @@ compression consumes exactly the occurrences that were counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -129,53 +130,77 @@ class CompressionDelta:
 
 
 class CandidateIndex:
-    """Every within-block n-gram (2 <= n <= n_max) of the sequence, by id.
+    """Every within-block n-gram (2 <= n <= n_max) of the sequence, by id,
+    and the candidate table's columns, indexed by id.
 
     ``gram[n][p]`` is the id of the n-gram that starts at position p, or -1.
-    An id is interned from (id of its first n-1 tokens, its last token) as
-    one packed int64 key, a bigram's first token standing for the prefix
-    id.  ``tuples[i]`` is id i's n-gram (None while i is free) and ``m[i]``
-    its greedy occurrence count, the only copy there is.  An id is freed
-    when its last occurrence goes and is then reused; a prefix never dies
-    before its extensions, so no live key names a reused id.
+    Columns, filled when the id is born: ``comp[:, i]``, its tokens padded
+    with 0; ``mult[:, i]``, each distinct token's count at its first slot
+    and 0 elsewhere; ``order[i]``, its length, 0 while i is free;
+    ``key[i]``, (prefix id, last token) packed in an int64, a bigram's
+    first token standing for the prefix id; ``m[i]``, its greedy occurrence
+    count, the only copy there is.  A freed id is reused; a prefix never
+    dies before its extensions, so no live key names a reused id.  Ids
+    below ``size`` have been used.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
-        if not 2 <= n_max <= 4:
-            raise ValueError("n_max must be in 2..4")
         self.seq = seq
         self.n_max = n_max
         self.orders = range(2, n_max + 1)
         self.gram = {n: np.full(len(seq.tok), -1, np.int64)
                      for n in self.orders}
-        self.tuples: list[TokenTuple | None] = []
+        self.size = 0
         self.m = np.zeros(1024, np.int64)
         self._overlaps = np.zeros(1024, bool)   # self-overlapping n-gram
+        self.order = np.zeros(1024, np.int64)
+        self.key = np.zeros(1024, np.int64)
+        self.comp = np.zeros((n_max, 1024), np.int64)
+        self.mult = np.zeros((n_max, 1024), np.int64)
         self._ids: dict[int, dict[int, int]] = {n: {} for n in self.orders}
-        self._key: list[int] = []               # id -> its packed key
         self._free: list[int] = []
         self._freed: list[int] = []
         self._born: list[int] = []
         self._settle(self._register(np.flatnonzero(seq.tok >= 0)))
 
-    def _intern(self, n: int, key: int) -> int:
-        head, last = key >> 32, key & 0xFFFFFFFF
-        t = (head, last) if n == 2 else (*self.tuples[head], last)
-        if self._free:
-            i = self._free.pop()
-            self.tuples[i] = t
-            self._key[i] = key
-        else:
-            i = len(self.tuples)
-            self.tuples.append(t)
-            self._key.append(key)
-            if i == len(self.m):
-                self.m = np.pad(self.m, (0, i))
-                self._overlaps = np.pad(self._overlaps, (0, i))
-        self._overlaps[i] = any(t[d:] == t[:n - d] for d in range(1, n))
-        self._ids[n][key] = i
-        self._born.append(i)
-        return i
+    def _intern(self, n: int, keys: np.ndarray) -> np.ndarray:
+        """The ids of the order-n ``keys``; the new ones take free ids
+        first, last freed first, then unused ones, and get their columns."""
+        table = self._ids[n]
+        ids = np.fromiter(map(table.get, keys.tolist(), repeat(-1)),
+                          np.int64, len(keys))
+        new = np.flatnonzero(ids < 0)
+        if not len(new):
+            return ids
+        reused = self._free[-len(new):][::-1]
+        del self._free[-len(new):]
+        top = self.size + len(new) - len(reused)
+        born = np.array(reused + list(range(self.size, top)), np.int64)
+        self.size = top
+        grow = (1 << (top - 1).bit_length()) - len(self.m)
+        if grow > 0:  # every column alike, to a power-of-2 capacity
+            for name in ("m", "_overlaps", "order", "key", "comp", "mult"):
+                col = getattr(self, name)
+                setattr(self, name, np.pad(
+                    col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
+        ids[new] = born
+        keys = keys[new]
+        t = np.zeros((self.n_max, len(new)), np.int64)
+        t[:n - 1] = keys >> 32 if n == 2 else self.comp[:n - 1, keys >> 32]
+        t[n - 1] = keys & 0xFFFFFFFF
+        eq = t[:n, None] == t[:n]               # eq[a, b]: slot a == slot b
+        mult = np.zeros_like(t)
+        # a token's count goes to the first slot that holds it
+        mult[:n] = eq.sum(1) * (eq.argmax(1) == np.arange(n)[:, None])
+        self.comp[:, born] = t
+        self.mult[:, born] = mult
+        self.order[born] = n
+        self.key[born] = keys
+        self._overlaps[born] = np.any(
+            [np.diagonal(eq, -d).all(1) for d in range(1, n)], 0)
+        table.update(zip(keys.tolist(), born.tolist()))
+        self._born += born.tolist()
+        return ids
 
     def _register(self, pos: np.ndarray) -> list[np.ndarray]:
         """Intern and count the n-grams starting at live positions ``pos``;
@@ -189,9 +214,7 @@ class CandidateIndex:
             pos, q = pos[ok], q[ok]
             keys, inv, cnt = np.unique(head[ok] << 32 | tok[q],
                                        return_inverse=True, return_counts=True)
-            table = self._ids[n]
-            ids = np.array([table[k] if k in table else self._intern(n, k)
-                            for k in keys.tolist()], np.int64)
+            ids = self._intern(n, keys)
             self.m[ids] += cnt
             head = ids[inv]
             self.gram[n][pos] = head
@@ -210,18 +233,13 @@ class CandidateIndex:
             met.append(ids)
         return met
 
-    def _span(self, pos: np.ndarray, n: int) -> np.ndarray:
-        """One row per occurrence starting at ``pos``: its n positions."""
-        cols = [pos]
-        for _ in range(n - 1):
-            cols.append(self.seq.nxt[cols[-1]])
-        return np.stack(cols, axis=1)
-
     def _sites(self, i: int) -> np.ndarray:
         """The greedy occurrences of n-gram ``i``, taken left to right, one
         row of positions each."""
-        n = len(self.tuples[i])
-        span = self._span(np.flatnonzero(self.gram[n] == i), n)
+        cols = [np.flatnonzero(self.gram[self.order[i]] == i)]
+        for _ in range(self.order[i] - 1):
+            cols.append(self.seq.nxt[cols[-1]])
+        span = np.stack(cols, axis=1)
         if not self._overlaps[i]:
             return span
         keep = []
@@ -239,11 +257,12 @@ class CandidateIndex:
         ids = distinct(np.concatenate(met))
         for i in ids[self._overlaps[ids]].tolist():
             self.m[i] = len(self._sites(i))
-        for i in ids[self.m[ids] == 0].tolist():
-            del self._ids[len(self.tuples[i])][self._key[i]]
-            self.tuples[i] = None
-            self._free.append(i)
-            self._freed.append(i)
+        dead = ids[self.m[ids] == 0]
+        for n, key in zip(self.order[dead].tolist(), self.key[dead].tolist()):
+            del self._ids[n][key]
+        self.order[dead] = 0
+        self._free += dead.tolist()
+        self._freed += dead.tolist()
 
     def id_of(self, t: TokenTuple) -> int | None:
         """The id of n-gram ``t``, or None when it does not occur."""
@@ -256,8 +275,12 @@ class CandidateIndex:
                 return None
         return i
 
+    def tuple_of(self, i: int) -> TokenTuple | None:
+        """The n-gram of id ``i``, or None while ``i`` is free."""
+        return tuple(self.comp[:self.order[i], i].tolist()) or None
+
     def first_position(self, i: int) -> int:
-        return int(np.argmax(self.gram[len(self.tuples[i])] == i))
+        return int(np.argmax(self.gram[self.order[i]] == i))
 
     def apply(self, i: int, lex: Lexicon) -> CompressionDelta:
         """Compress all greedy occurrences of n-gram ``i`` in one batch:
@@ -265,7 +288,7 @@ class CandidateIndex:
         of each, merge, and register again at the survivors.  That is what
         merging site by site gives, as the index is a function of the
         sequence."""
-        t = self.tuples[i]
+        t = self.tuple_of(i)
         seq = self.seq
         sites = self._sites(i)
         fresh = seq.new_token(sum(seq.lengths[w] for w in t))

@@ -248,7 +248,7 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
                 _record(_run_cell(cell, work))
         else:
             ctx = get_context("fork")
-            with ctx.Pool(jobs, initializer=_init_worker,
+            with ctx.Pool(min(jobs, len(todo)), initializer=_init_worker,
                           initargs=(work,)) as pool:
                 for row in pool.imap_unordered(_run_cell, todo):
                     _record(row)

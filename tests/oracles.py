@@ -313,8 +313,9 @@ def _scan_sites(seq, s):
 def verify_index(index):
     """Assert that each live position's ``gram[n]`` id names the n tokens
     found there by following links, that every other position holds -1,
-    and that each live id is one distinct n-gram counted as a full scan
-    counts it."""
+    that each live id is one distinct n-gram counted as a full scan counts
+    it, and that its columns (order, zero-padded tokens, multiplicity of
+    each distinct token at its first slot, self-overlap) match the tuple."""
     seq = index.seq
     tok, nxt = seq.tok.tolist(), seq.nxt.tolist()
     live = {p for block in walk(seq) for p in block}
@@ -328,13 +329,23 @@ def verify_index(index):
             if len(run) < n:
                 assert i == -1, (n, p, i)
                 continue
-            assert index.tuples[i] == tuple(tok[q] for q in run), (n, p, i)
+            assert index.tuple_of(i) == tuple(tok[q] for q in run), (n, p, i)
             named.add(i)
-    ids = [i for i, t in enumerate(index.tuples) if t is not None]
+    tuples = {i: index.tuple_of(i) for i in range(index.size)}
+    ids = [i for i, t in tuples.items() if t is not None]
     assert set(ids) == named
-    assert len({index.tuples[i] for i in ids}) == len(ids)
+    assert len({tuples[i] for i in ids}) == len(ids)
+    pad = [0] * index.n_max
     for i in ids:
-        assert index.m[i] == count_occurrences(seq, index.tuples[i]), i
+        t = tuples[i]
+        n = len(t)
+        assert index.m[i] == count_occurrences(seq, t), i
+        assert index.order[i] == n, i
+        assert index.comp[:, i].tolist() == [*t, *pad][:index.n_max], i
+        mult = [t.count(w) if t.index(w) == k else 0 for k, w in enumerate(t)]
+        assert index.mult[:, i].tolist() == [*mult, *pad][:index.n_max], i
+        assert index._overlaps[i] == any(t[d:] == t[:n - d]
+                                         for d in range(1, n)), i
 
 
 @dataclass

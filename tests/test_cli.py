@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on a tiny corpus."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -439,5 +440,47 @@ def test_punct_set_alone_splits_blocks_in_every_command(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--hyp", str(seg), "--gold", str(gold),
                  *punct]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 <= report["token"]["f"] <= 100.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["segment", "--stop-at", "-5"], "stop_at must be >= 0, got -5"),
+    (["grid", "--nmax", "1", "--alpha", "0", "--beta", "0"],
+     "n_max must be in 2..4, got 1"),
+])
+def test_bad_learner_option_is_one_line_error(corpus_file, tmp_path, capsys,
+                                              argv, message):
+    rc = main([argv[0], str(corpus_file), *argv[1:],
+               "--out", str(tmp_path / "out")])
+    assert rc != 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"incseg: error: {message}"]
+    assert list(tmp_path.iterdir()) == [corpus_file]
+
+
+def test_punct_hard_reads_each_file_once(tmp_path, capsys, monkeypatch):
+    gold = tmp_path / "zh.txt"
+    gold.write_text("今天 天气 好 ， 我们 出去 玩 。\n好 的 ！\n",
+                    encoding="utf-8")
+    seg = tmp_path / "seg.txt"
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        real = getattr(Path, name)
+
+        def counted(self, *args, _real=real, **kwargs):
+            reads.append(self.name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    punct = ["--format", "sighan", "--punct-hard"]
+    assert main(["segment", str(gold), *punct, "--out", str(seg)]) == 0
+    assert reads == ["zh.txt"]
+    assert "，" in seg.read_text(encoding="utf-8")
+    reads.clear()
+    capsys.readouterr()
+    assert main(["eval", "--hyp", str(seg), "--gold", str(gold),
+                 *punct]) == 0
+    assert sorted(reads) == ["seg.txt", "zh.txt"]
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["token"]["f"] <= 100.0

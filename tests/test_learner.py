@@ -35,7 +35,8 @@ def table_m(state, t):
 
 
 def live_tuples(state):
-    return {t for t in state.index.tuples if t is not None}
+    index = state.index
+    return {index.tuple_of(i) for i in range(index.size)} - {None}
 
 
 # -- penalty -----------------------------------------------------------
@@ -364,7 +365,7 @@ def test_selected_candidate_is_global_minimum(seed):
             universe.update(ngram_stats(state.seq, n).counts)
         index = state.index
         assert live_tuples(state) == universe
-        assert all(index.tuples[index.id_of(t)] == t for t in universe)
+        assert all(index.tuple_of(index.id_of(t)) == t for t in universe)
         for t in universe:
             assert table_m(state, t) == count_occurrences(state.seq, t)
         floor = (min(oracle_delta_on_copy(state, t) for t in universe)
@@ -424,7 +425,8 @@ def test_step_takes_exact_tie_broken_minimum(seed, n_max):
     index = state.index
     while True:
         keyed = []
-        for i, t in enumerate(index.tuples):
+        for i in range(index.size):
+            t = index.tuple_of(i)
             if t is None:
                 continue
             score = state.score_candidate(t)

@@ -141,7 +141,7 @@ def test_boundary_set_tracks_merges():
 
 
 def live_tuples(index):
-    return {t for t in index.tuples if t is not None}
+    return {index.tuple_of(i) for i in range(index.size)} - {None}
 
 
 def test_index_matches_scan_counts():
@@ -155,15 +155,15 @@ def test_index_matches_scan_counts():
         freed, born = index.consume_dirty()
         assert freed == []
         for i in born:
-            t = index.tuples[i]
+            t = index.tuple_of(i)
             assert index.m[i] == count_occurrences(seq, t), (text, t)
             assert index.id_of(t) == i
         # every possible n-gram with an occurrence is indexed and counted
         universe = set()
         for n in range(2, n_max + 1):
             universe.update(ngram_stats(seq, n).counts)
-        assert sorted(born) == list(range(len(index.tuples)))
-        assert live_tuples(index) == {index.tuples[i] for i in born} \
+        assert sorted(born) == list(range(index.size))
+        assert live_tuples(index) == {index.tuple_of(i) for i in born} \
             == universe
         verify_index(index)
 
@@ -177,7 +177,7 @@ def test_index_stays_exact_under_compressions():
         n_max = rng.randint(2, 3)
         index = CandidateIndex(seq, n_max)
         # the ids a caller knows, kept only from what the flushes report
-        known = {i: index.tuples[i] for i in index.consume_dirty()[1]}
+        known = {i: index.tuple_of(i) for i in index.consume_dirty()[1]}
         for _ in range(12):
             live = sorted(live_tuples(index))
             if not live:
@@ -186,15 +186,15 @@ def test_index_stays_exact_under_compressions():
             index.apply(index.id_of(t), lex)
             freed, born = index.consume_dirty()
             for u in freed:
-                assert index.tuples[u] is None and u not in born
+                assert index.tuple_of(u) is None and u not in born
                 del known[u]
-            known.update((i, index.tuples[i]) for i in born)
+            known.update((i, index.tuple_of(i)) for i in born)
             verify_sequence(seq, lex, corpus)
             verify_index(index)
             # recount every candidate from scratch
             assert set(known.values()) == live_tuples(index)
             for i, u in known.items():
-                assert index.tuples[i] == u
+                assert index.tuple_of(i) == u
                 assert index.m[i] == count_occurrences(seq, u)
             for n in range(2, n_max + 1):
                 stats = ngram_stats(seq, n)

@@ -193,6 +193,43 @@ def test_grid_parallel_matches_serial(toy, tmp_path):
         assert a.metrics == b.metrics
 
 
+def test_grid_pool_has_no_more_workers_than_cells(toy, tmp_path,
+                                                  monkeypatch):
+    import incseg.search as search_mod
+    corpus, gold = toy
+    started = []
+
+    class FakePool:
+        """Runs the cells in this process, as ``imap_unordered`` would."""
+
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, cells):
+            return map(fn, cells)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(search_mod, "get_context", lambda method: FakeContext)
+    spec = small_grid_spec()
+    run_grid(corpus, gold, spec, tmp_path / "g", jobs=8)
+    assert started == [4]
+    # a resume with three cells left starts three workers
+    ledger = tmp_path / "g" / "runs.jsonl"
+    lines = ledger.read_text(encoding="utf-8").splitlines(keepends=True)
+    ledger.write_text(lines[0], encoding="utf-8")
+    assert len(run_grid(corpus, gold, spec, tmp_path / "g", jobs=8)) == 4
+    assert started == [4, 3]
+
+
 def test_select_family_minimum_and_ties(toy, tmp_path):
     corpus, gold = toy
     records = run_grid(corpus, gold, small_grid_spec(), tmp_path / "g")
