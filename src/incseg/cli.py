@@ -138,7 +138,7 @@ def _cmd_dump_lexicon(ns: argparse.Namespace) -> int:
     seq, lex = result.hypothesis.seq, result.hypothesis.lexicon
     rows = [{"id": tid, "surface": e.surface,
              "components": list(e.components) if e.components else None,
-             "count": seq.counts[tid]}
+             "count": int(seq.counts[tid])}
             for tid, e in enumerate(lex.entries)]
     Path(ns.out).write_text(json.dumps(rows, ensure_ascii=False, indent=1),
                             encoding="utf-8")

@@ -209,7 +209,7 @@ class LearnerState:
         """
         index = self.index
         xlx = self._xlx
-        counts = np.array(self.seq.counts, np.int64)
+        counts = self.seq.counts
         m = index.m[rows]
         n = index.order[rows]
         acc = 0.0

@@ -58,14 +58,14 @@ class TokenSequence:
     tok: np.ndarray
     nxt: np.ndarray
     prv: np.ndarray
-    counts: list[int]
+    counts: np.ndarray  # int64, one slot per token id
     lengths: list[int]
     total: int
     n_chars: int
     offsets: np.ndarray  # the corpus's block offsets
 
     def new_token(self, length: int) -> int:
-        self.counts.append(0)
+        self.counts = np.append(self.counts, 0)
         self.lengths.append(length)
         return len(self.counts) - 1
 
@@ -99,11 +99,11 @@ class TokenSequence:
         return out
 
     def n_types(self) -> int:
-        return sum(1 for c in self.counts if c > 0)
+        return int(np.count_nonzero(self.counts))
 
     def active_items(self) -> Iterator[tuple[int, int]]:
         """(token id, count) over types with count >= 1."""
-        return ((t, c) for t, c in enumerate(self.counts) if c > 0)
+        return ((t, c) for t, c in enumerate(self.counts.tolist()) if c > 0)
 
 
 def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
@@ -116,7 +116,7 @@ def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     nxt[np.append(starts[1:], n) - 1] = -1
     prv = np.arange(-1, n - 1, dtype=np.int64)
     prv[starts] = -1
-    counts = np.bincount(tok, minlength=n_base).tolist()
+    counts = np.bincount(tok, minlength=n_base)
     seq = TokenSequence(tok, nxt, prv, counts, [1] * n_base, n, n, starts)
     return seq, Lexicon(corpus.chars)
 
@@ -141,7 +141,8 @@ class CandidateIndex:
     first token standing for the prefix id; ``m[i]``, its greedy occurrence
     count, the only copy there is.  A freed id is reused; a prefix never
     dies before its extensions, so no live key names a reused id.  Ids
-    below ``size`` have been used.
+    below ``size`` have been used.  One rule, ``_greedy``, gives the sites
+    ``apply`` merges and the counts ``_settle`` redoes, one pass per order.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
@@ -233,30 +234,59 @@ class CandidateIndex:
             met.append(ids)
         return met
 
+    def _greedy(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(start, id) of every greedy occurrence of the order-n ``ids``,
+        by id, then left to right.  A row that starts after the end of the
+        row before it, of the same id, is kept, as ends rise with starts;
+        only the rows that clash walk the frontier, from the end of the
+        last row that did not clash."""
+        g = self.gram[n]
+        if len(ids) == 1:  # one equality scan is cheaper than the gather
+            pos = np.flatnonzero(g == ids[0])
+        else:
+            want = np.zeros(self.size + 1, bool)  # gram's -1 reads the last
+            want[ids] = True
+            pos = np.flatnonzero(want[g])
+            pos = pos[np.argsort(g[pos], kind="stable")]
+        who = g[pos]
+        if not self._overlaps[ids].any():
+            return pos, who
+        end = pos
+        for _ in range(n - 1):
+            end = self.seq.nxt[end]
+        clash = (who[1:] == who[:-1]) & (pos[1:] <= end[:-1])
+        clash = np.flatnonzero(clash) + 1  # rows overlapping the row before
+        drop, last = [], -1
+        for r, p, e, before in zip(clash.tolist(), pos[clash].tolist(),
+                                   end[clash].tolist(),
+                                   end[clash - 1].tolist()):
+            if r != last + 1:  # row r - 1 did not clash, so it is kept
+                frontier = before
+            if p > frontier:
+                frontier = e
+            else:
+                drop.append(r)
+            last = r
+        return np.delete(pos, drop), np.delete(who, drop)
+
     def _sites(self, i: int) -> np.ndarray:
         """The greedy occurrences of n-gram ``i``, taken left to right, one
         row of positions each."""
-        cols = [np.flatnonzero(self.gram[self.order[i]] == i)]
+        cols = [self._greedy(self.order[i], np.array([i]))[0]]
         for _ in range(self.order[i] - 1):
             cols.append(self.seq.nxt[cols[-1]])
-        span = np.stack(cols, axis=1)
-        if not self._overlaps[i]:
-            return span
-        keep = []
-        frontier = -1
-        for r, (p, e) in enumerate(zip(span[:, 0].tolist(),
-                                       span[:, -1].tolist())):
-            if p > frontier:
-                keep.append(r)
-                frontier = e
-        return span[keep]
+        return np.stack(cols, axis=1)
 
     def _settle(self, met: list[np.ndarray]) -> None:
         """Recount the self-overlapping ids met, whose position counts are
-        not greedy counts; free every id met left at 0."""
+        not greedy counts, in one ``_greedy`` pass per order; free every id
+        met left at 0."""
         ids = distinct(np.concatenate(met))
-        for i in ids[self._overlaps[ids]].tolist():
-            self.m[i] = len(self._sites(i))
+        over = ids[self._overlaps[ids]]
+        for n in distinct(self.order[over]).tolist():
+            mine = over[self.order[over] == n]
+            self.m[mine] = 0
+            np.add.at(self.m, self._greedy(n, mine)[1], 1)
         dead = ids[self.m[ids] == 0]
         for n, key in zip(self.order[dead].tolist(), self.key[dead].tolist()):
             del self._ids[n][key]

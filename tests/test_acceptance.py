@@ -89,7 +89,6 @@ def _audit_run(corpus, params, options) -> tuple[float, int, int, bool]:
     conservation_bad = 0
     nonimproving = 0
     lengths = state.seq.lengths
-    counts = state.seq.counts
     n = corpus.n_chars
     small = n <= 600
     while True:
@@ -101,6 +100,8 @@ def _audit_run(corpus, params, options) -> tuple[float, int, int, bool]:
         oracle_prev = oracle_now
         if ev.delta >= 0:
             nonimproving += 1
+        # new_token replaces the counts array, so read it after each step
+        counts = state.seq.counts
         if sum(c * lengths[t] for t, c in enumerate(counts)) != n:
             conservation_bad += 1
         if small or state.iteration % 25 == 0:

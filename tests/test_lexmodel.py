@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from incseg.lexmodel import CandidateIndex, init_from_corpus
 
 from conftest import make_corpus, random_gold_text
-from oracles import (apply_compression, count_occurrences, expand,
-                     ngram_stats, verify_index, verify_sequence)
+from oracles import (_scan_sites, apply_compression, count_occurrences,
+                     expand, ngram_stats, verify_index, verify_sequence)
 
 
 def seq_for(text, tmp_path=None):
@@ -232,3 +232,54 @@ def test_blocks_and_boundaries_are_json_ints(text, merged):
     assert json.loads(json.dumps(blocks)) == blocks
     bounds = sorted(seq.boundary_set())
     assert json.loads(json.dumps(bounds)) == bounds
+
+
+# runs of one or two letters, so that many n-grams overlap themselves
+RUN_UNITS = ("a", "b", "ab", "aab", "ba", "abb")
+run_texts = st.lists(
+    st.lists(st.tuples(st.sampled_from(RUN_UNITS), st.integers(1, 7)),
+             min_size=1, max_size=3),
+    min_size=1, max_size=3).map(lambda blocks: "".join(
+        " ".join(unit * k for unit, k in block) + "\n" for block in blocks))
+
+
+@given(run_texts, st.integers(2, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_greedy_counts_and_sites_on_runs(text, n_max, data):
+    corpus, seq, lex = seq_for(text)
+    index = CandidateIndex(seq, n_max)
+    for _ in range(6):
+        live = [i for i in range(index.size) if index.order[i]]
+        if not live:
+            break
+        i = data.draw(st.sampled_from(live))
+        t = index.tuple_of(i)
+        assert index.m[i] == count_occurrences(seq, t), (text, t)
+        assert index._sites(i).tolist() == _scan_sites(seq, t), (text, t)
+        index.apply(i, lex)
+        verify_index(index)
+
+
+def test_settle_recounts_interleaved_self_overlaps_in_one_batch():
+    # merging (c, d) at n_max 4 meets aba, bab and aaa among the order-3
+    # n-grams left of the sites: their rows interleave in position, clash
+    # within each run, and the aba runs of the last two blocks meet at a
+    # block edge
+    text = "ababab cd\nbababa cd\naaaa cd\naababa\nabab aaa\n"
+    corpus, seq, lex = seq_for(text)
+    index = CandidateIndex(seq, 4)
+    batches = []
+    greedy = index._greedy
+
+    def spy(n, ids):
+        batches.append((n, {index.tuple_of(i) for i in ids.tolist()}))
+        return greedy(n, ids)
+
+    index._greedy = spy
+    index.apply(index.id_of(ids(corpus, "cd")), lex)
+    aba, bab, aaa, aa = (ids(corpus, s) for s in ("aba", "bab", "aaa", "aa"))
+    # one recount per order after the merge's own site search
+    assert batches[1:] == [(2, {aa}), (3, {aaa, aba, bab})]
+    for t, m in ((aba, 4), (bab, 4), (aaa, 2), (aa, 4)):
+        assert index.m[index.id_of(t)] == count_occurrences(seq, t) == m, t
+    verify_index(index)
