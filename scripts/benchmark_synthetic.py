@@ -47,7 +47,7 @@ def main() -> None:
         path = Path(args.keep) if args.keep else Path(td) / "toy.txt"
         build_corpus(path, args.lines, args.types, args.seed)
         corpus, gold = load_gold(path, "brent")
-        print(f"corpus: {corpus.n_chars} chars, {len(gold.word_spans())} "
+        print(f"corpus: {corpus.n_chars} chars, {len(gold.boundaries) + 1} "
               f"words, {len(corpus.offsets)} utterances")
         for alpha, beta in ((0.0, 0.0), (0.3, 0.3), (0.6, 0.3), (1.0, 0.5)):
             t0 = time.perf_counter()

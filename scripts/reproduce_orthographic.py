@@ -38,7 +38,7 @@ def main() -> None:
                              hard_punct=default_punctuation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    print(f"{corpus.n_chars} chars, {len(gold.word_spans())} words, "
+    print(f"{corpus.n_chars} chars, {len(gold.boundaries) + 1} words, "
           f"{len(corpus.offsets)} blocks after hard boundaries")
 
     alpha, beta = args.alpha, args.beta

@@ -46,7 +46,7 @@ def main() -> None:
 
     corpus, gold = load_gold(args.corpus, "brent")
     out = Path(args.out)
-    print(f"{corpus.n_chars} chars, {len(gold.word_spans())} words, "
+    print(f"{corpus.n_chars} chars, {len(gold.boundaries) + 1} words, "
           f"{len(corpus.offsets)} utterances")
     header = (f"{'setting':<22} {'value':>12} {'a':>5} {'b':>5} "
               f"{'P':>5} {'R':>5} {'F':>5}  {'BP':>5} {'BR':>5} {'BF':>5}  "
@@ -92,11 +92,9 @@ def main() -> None:
             print(fmt_row(f"{crit} top-{args.top} vote", "-", "-", "-", rep))
 
         rows = correlation_rows(out / kind, "outputs")
-        out_rho = correlation_report(rows, CRITERIA, "outputs",
-                                     with_scatter=False).rho
+        out_rho = correlation_report(rows, CRITERIA, "outputs").rho
         rows = correlation_rows(out / kind, "trace")
-        trace_rho = correlation_report(rows, CRITERIA, "trace",
-                                       with_scatter=False).rho
+        trace_rho = correlation_report(rows, CRITERIA, "trace").rho
         print("\nSpearman rho vs token F   " +
               "  ".join(f"{c:>6}" for c in CRITERIA))
         print("  output set             " +

@@ -154,8 +154,7 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
     corpus, gold = _load_corpus(ns)
     options = _learner_options(ns, trace_interval=ns.trace_every)
     records = _search.run_grid(corpus, gold, spec, ns.out, options=options,
-                               jobs=ns.jobs, trace=ns.trace,
-                               resume=not ns.no_resume)
+                               jobs=ns.jobs, trace=ns.trace)
     _write_manifest(Path(ns.out), ns, corpus)
     n_cells = len(spec.cells())
     print(f"{len(records)}/{n_cells} grid cells complete in {ns.out}")
@@ -357,7 +356,6 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--out", required=True)
     p.add_argument("--trace", action="store_true",
                    help="trace criteria/F every --trace-every iterations")
-    p.add_argument("--no-resume", action="store_true")
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("staged", help="alpha sweep, then beta sweep")

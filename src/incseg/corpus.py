@@ -130,10 +130,6 @@ class GoldSegmentation:
     boundaries: frozenset[int]
     n_chars: int
 
-    def word_spans(self) -> list[tuple[int, int]]:
-        cuts = [0] + sorted(self.boundaries) + [self.n_chars]
-        return [(a, b) for a, b in zip(cuts, cuts[1:])]
-
 
 def default_punctuation(text: str) -> set[str]:
     """Characters of the text in Unicode general category P*."""

@@ -302,6 +302,7 @@ def run(corpus: RawCorpus, params: PenaltyParams,
     options = options or LearnerOptions()
     t0 = time.perf_counter()
     state = init_state(corpus, params, options)
+    gold_starts = None if gold is None else corpus.word_starts(gold.boundaries)
     stopped = "converged"
     while True:
         if options.stop_at is not None and state.iteration >= options.stop_at:
@@ -312,17 +313,17 @@ def run(corpus: RawCorpus, params: PenaltyParams,
             break
         if (options.trace_mode != "none"
                 and ev.iteration % options.trace_interval == 0):
-            state.trace.append(_trace_record(state, corpus, gold))
+            state.trace.append(_trace_record(state, corpus, gold_starts))
     if options.trace_mode != "none" and (
             not state.trace or state.trace[-1].iteration != state.iteration):
-        state.trace.append(_trace_record(state, corpus, gold))
+        state.trace.append(_trace_record(state, corpus, gold_starts))
     hyp = state.hypothesis()
     return RunResult(hyp, state.iteration, stopped, state.objective,
                      state.trace, time.perf_counter() - t0)
 
 
 def _trace_record(state: LearnerState, corpus: RawCorpus,
-                  gold: GoldSegmentation | None) -> TraceRecord:
+                  gold_starts: np.ndarray | None) -> TraceRecord:
     seq = state.seq
     rec = TraceRecord(
         iteration=state.iteration,
@@ -340,9 +341,9 @@ def _trace_record(state: LearnerState, corpus: RawCorpus,
         starts = np.flatnonzero(seq.tok >= 0)  # word starts, 0 included
         vals = _criteria.evaluate_boundaries(corpus, starts)
         rec.criteria = {cid: cv.value for cid, cv in vals.items()}
-        if gold is not None:
+        if gold_starts is not None:
             rec.token_f = _metrics.token_prf(
-                starts, gold.boundaries, corpus.n_chars).f
+                starts, gold_starts, corpus.n_chars).f
     return rec
 
 

@@ -1,8 +1,10 @@
 """Segmentation accuracy metrics and rank-correlation analysis.
 
 Scores are percentages (one decimal when formatted, matching the usual
-reporting convention).  Boundary metrics cover internal positions only:
-block edges are given to every method, not predicted.
+reporting convention).  The three levels take sorted word starts, 0 and
+the block starts included, as ``RawCorpus.word_starts`` returns them.
+Boundary metrics cover internal positions only: block edges are given to
+every method, not predicted.
 """
 
 from __future__ import annotations
@@ -34,38 +36,30 @@ def _prf(correct: int, n_hyp: int, n_gold: int) -> PRF:
     return PRF(p, r, f, degenerate)
 
 
-def _sorted(positions: Iterable[int], *extra: int) -> np.ndarray:
-    """Sorted distinct values of ``positions`` and ``extra``."""
-    v = (positions if isinstance(positions, np.ndarray)
-         else np.fromiter(positions, np.int64))
-    return distinct(np.concatenate((v, np.array(extra, np.int64))))
-
-
-def token_prf(hyp: Iterable[int], gold: Iterable[int], n_chars: int) -> PRF:
+def token_prf(hyp: np.ndarray, gold: np.ndarray, n_chars: int) -> PRF:
     """Exact word matches: a hypothesized word is correct iff its whole span
     coincides with a gold word."""
-    h, g = _sorted(hyp, 0, n_chars), _sorted(gold, 0, n_chars)
+    h, g = np.append(hyp, n_chars), np.append(gold, n_chars)
     rank = np.searchsorted(g, h)
     hit = g[np.minimum(rank, len(g) - 1)] == h
     correct = hit[:-1] & hit[1:] & (np.diff(rank) == 1)
     return _prf(int(correct.sum()), len(h) - 1, len(g) - 1)
 
 
-def boundary_prf(hyp: Iterable[int], gold: Iterable[int],
-                 block_edges: Iterable[int]) -> PRF:
-    edges = _sorted(block_edges)
-    h, g = (v[~np.isin(v, edges)] for v in (_sorted(hyp), _sorted(gold)))
+def boundary_prf(hyp: np.ndarray, gold: np.ndarray,
+                 block_starts: np.ndarray) -> PRF:
+    h, g = (v[~np.isin(v, block_starts)] for v in (hyp, gold))
     return _prf(int(np.isin(h, g).sum()), len(h), len(g))
 
 
-def lexicon_prf(hyp: Iterable[int], gold: Iterable[int],
+def lexicon_prf(hyp: np.ndarray, gold: np.ndarray,
                 corpus: RawCorpus) -> PRF:
     """Word types found; hypothesis and gold words are typed together."""
-    h, g = (_sorted(v, 0, corpus.n_chars) for v in (hyp, gold))
-    tid, rep = corpus.type_words(np.concatenate((h[:-1], g[:-1])),
-                                 np.concatenate((np.diff(h), np.diff(g))))
+    n = corpus.n_chars
+    tid, rep = corpus.type_words(np.concatenate((hyp, gold)), np.concatenate(
+        (np.diff(hyp, append=n), np.diff(gold, append=n))))
     found = [np.bincount(t, minlength=len(rep)) > 0
-             for t in (tid[:len(h) - 1], tid[len(h) - 1:])]
+             for t in (tid[:len(hyp)], tid[len(hyp):])]
     return _prf(int((found[0] & found[1]).sum()), int(found[0].sum()),
                 int(found[1].sum()))
 
@@ -91,45 +85,38 @@ def evaluate_segmentation(corpus: RawCorpus, gold: GoldSegmentation,
     n = corpus.n_chars
     if gold.n_chars != n:
         raise ValueError("gold and corpus disagree on character count")
-    given = _sorted(hyp_boundaries)
-    bad = given[(given <= 0) | (given >= n)].tolist()
+    given = np.fromiter(hyp_boundaries, np.int64)
+    bad = distinct(given[(given <= 0) | (given >= n)]).tolist()
     if bad:
         raise ValueError(f"boundary positions out of range: {bad[:3]}")
-    edges = corpus.offsets[1:]
-    hyp = np.concatenate((given, edges))  # block edges are given
-    gold_bounds = _sorted(gold.boundaries)
+    # block edges are given: word_starts adds them to both sides
+    h, g = corpus.word_starts(given), corpus.word_starts(gold.boundaries)
     return SegReport(
-        token=token_prf(hyp, gold_bounds, n),
-        boundary=boundary_prf(hyp, gold_bounds, edges),
-        lexicon=lexicon_prf(hyp, gold_bounds, corpus),
+        token=token_prf(h, g, n),
+        boundary=boundary_prf(h, g, corpus.offsets),
+        lexicon=lexicon_prf(h, g, corpus),
     )
 
 
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
-    """Ranks 1..n with ties averaged."""
+    """Ranks 1..n with ties averaged.  NaN equals nothing, so each NaN
+    ranks alone, after +inf, in input order."""
     v = np.asarray(values, dtype=float)
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=float)
-    i = 0
     sv = v[order]
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.ones(len(v), bool)  # where a run of equal values starts
+    first[1:] = sv[1:] != sv[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(v)) - 1
+    ranks = np.empty(len(v), dtype=float)
+    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(first) - 1]
     return ranks
 
 
-def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson correlation of fractional ranks; nan when either ranking has
-    zero variance."""
-    if len(xs) != len(ys):
-        raise ValueError("length mismatch")
-    if len(xs) < 2:
+def _pearson(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two rankings; nan if either is constant."""
+    if len(rx) < 2:
         raise ValueError("need at least two observations")
-    rx = fractional_ranks(xs)
-    ry = fractional_ranks(ys)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     sx = float(np.sqrt((dx * dx).sum()))
@@ -137,6 +124,14 @@ def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
     if sx == 0.0 or sy == 0.0:
         return float("nan")
     return float((dx * dy).sum() / (sx * sy))
+
+
+def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson correlation of fractional ranks; nan when either ranking has
+    zero variance."""
+    if len(xs) != len(ys):
+        raise ValueError("length mismatch")
+    return _pearson(fractional_ranks(xs), fractional_ranks(ys))
 
 
 @dataclass
@@ -149,20 +144,18 @@ class CorrelationReport:
 
 def correlation_report(rows: Sequence[Mapping[str, float]],
                        criteria: Sequence[str],
-                       population: str = "outputs",
-                       with_scatter: bool = True) -> CorrelationReport:
+                       population: str = "outputs") -> CorrelationReport:
     """Spearman's rho between token F and each criterion over ``rows``.
 
     Each row must carry ``token_f`` and one value per requested criterion.
     Scatter data pairs each row's criterion rank with its F score.
     """
     fs = [float(r["token_f"]) for r in rows]
+    f_ranks = fractional_ranks(fs)
     rho: dict[str, float] = {}
     scatter: dict[str, list[tuple[float, float]]] = {}
     for cid in criteria:
-        vals = [float(r[cid]) for r in rows]
-        rho[cid] = spearman_rho(vals, fs)
-        if with_scatter:
-            ranks = fractional_ranks(vals)
-            scatter[cid] = [(float(rk), f) for rk, f in zip(ranks, fs)]
+        ranks = fractional_ranks([float(r[cid]) for r in rows])
+        rho[cid] = _pearson(ranks, f_ranks)
+        scatter[cid] = list(zip(ranks.tolist(), fs))
     return CorrelationReport(population, len(rows), rho, scatter)

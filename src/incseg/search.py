@@ -222,13 +222,19 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
              options: LearnerOptions | None = None,
              jobs: int = 1, trace: bool = False,
              resume: bool = True) -> list[RunRecord]:
-    """One learner run per (penalty kind, alpha, beta); resumable ledger."""
+    """One learner run per (penalty kind, alpha, beta) into a ledger that a
+    later call resumes, unless ``resume=False`` empties it first.  A resume
+    of runs made with another ``n_max`` is refused."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     options = options or LearnerOptions()
-    existing = load_ledger(out)  # also cuts a torn tail before appending
-    done: dict[tuple[str, float, float], RunRecord] = (
-        {rec.key(): rec for rec in existing} if resume else {})
+    # loading also cuts a torn tail before appending
+    done = {rec.key(): rec for rec in load_ledger(out)} if resume else {}
+    for rec in done.values():
+        if rec.n_max != options.n_max:
+            raise ValueError(
+                f"{out / 'runs.jsonl'} holds runs with n_max {rec.n_max}, "
+                f"not {options.n_max}; start over in a new directory")
     todo = [c for c in spec.cells() if c not in done]
 
     def _record(row: dict) -> None:
@@ -241,7 +247,8 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
         done[(row["penalty"], row["alpha"], row["beta"])] = RunRecord(**row)
 
     work = (corpus, gold, options, out, trace)
-    ledger = (out / "runs.jsonl").open("a", encoding="utf-8")
+    ledger = (out / "runs.jsonl").open("a" if resume else "w",
+                                       encoding="utf-8")
     try:
         if jobs <= 1 or len(todo) <= 1:
             for cell in todo:
@@ -258,18 +265,12 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
     return [done[c] for c in spec.cells() if c in done]
 
 
-def _tie_key(rec: RunRecord) -> tuple:
-    return (rec.alpha, rec.beta, rec.penalty)
-
-
 def select_family_minimum(records: Sequence[RunRecord],
                           criterion: str) -> RunRecord:
     """The run minimizing one criterion; ties broken by (alpha, beta)."""
     if not records:
         raise ValueError("no records")
-    if criterion not in CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    return min(records, key=lambda r: (r.criteria[criterion], _tie_key(r)))
+    return select_top_k(records, criterion, 1)[0]
 
 
 def select_top_k(records: Sequence[RunRecord], criterion: str,
@@ -280,8 +281,8 @@ def select_top_k(records: Sequence[RunRecord], criterion: str,
         raise ValueError(f"k={k} exceeds {len(records)} records")
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    ordered = sorted(records,
-                     key=lambda r: (r.criteria[criterion], _tie_key(r)))
+    ordered = sorted(records, key=lambda r: (r.criteria[criterion], r.alpha,
+                                             r.beta, r.penalty))
     return ordered[:k]
 
 

@@ -231,6 +231,37 @@ def definition_spearman(xs, ys):
     return cov / (vx * vy)
 
 
+def reference_ranks(values):
+    """Fractional ranks by a walk over a stable sort: each run of equal
+    values gets the mean of its positions.  NaN equals nothing, so each NaN
+    is a run of its own."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v), dtype=float)
+    i = 0
+    sv = v[order]
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_rho(xs, ys):
+    """Pearson correlation of ``reference_ranks``, with numpy arithmetic in
+    the order ``spearman_rho`` uses, so that results compare by ``repr``."""
+    rx, ry = reference_ranks(xs), reference_ranks(ys)
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    sx = float(np.sqrt((dx * dx).sum()))
+    sy = float(np.sqrt((dy * dy).sum()))
+    if sx == 0.0 or sy == 0.0:
+        return float("nan")
+    return float((dx * dy).sum() / (sx * sy))
+
+
 # -- token sequences, rescanned without the candidate index ------------------
 
 

@@ -459,6 +459,30 @@ def test_bad_learner_option_is_one_line_error(corpus_file, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [corpus_file]
 
 
+def test_grid_no_resume_flag_is_gone(corpus_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", str(corpus_file), "--alpha", "0", "--beta", "0",
+              "--no-resume", "--out", str(tmp_path / "grid")])
+    assert exc.value.code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_grid_resume_with_another_nmax_is_one_line_error(corpus_file,
+                                                         tmp_path, capsys):
+    grid = tmp_path / "grid"
+    argv = ["grid", str(corpus_file), "--alpha", "0", "--beta", "0",
+            "--out", str(grid)]
+    assert main(argv) == 0
+    ledger = (grid / "runs.jsonl").read_bytes()
+    manifest = (grid / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--nmax", "3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "n_max 2, not 3" in err[0]
+    assert (grid / "runs.jsonl").read_bytes() == ledger
+    assert (grid / "manifest.json").read_bytes() == manifest
+
+
 def test_punct_hard_reads_each_file_once(tmp_path, capsys, monkeypatch):
     gold = tmp_path / "zh.txt"
     gold.write_text("今天 天气 好 ， 我们 出去 玩 。\n好 的 ！\n",

@@ -16,7 +16,7 @@ from incseg.metrics import (boundary_prf, correlation_report,
 from conftest import make_corpus
 from fixtures_metrics import CASES
 from oracles import definition_spearman as _definition_spearman
-from oracles import oracle_prf
+from oracles import oracle_prf, reference_rho, reference_ranks
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
@@ -51,9 +51,10 @@ def test_all_levels_100_iff_boundaries_identical(tmp_path):
 
 def test_boundary_symmetry(tmp_path):
     corpus, gold = make_corpus("ab c de\n", tmp_path=tmp_path)
-    hyp = {1, 2, 5}
-    fwd = boundary_prf(hyp, gold.boundaries, corpus.block_edges())
-    rev = boundary_prf(gold.boundaries, hyp, corpus.block_edges())
+    hyp = corpus.word_starts({1, 2, 5})
+    ref = corpus.word_starts(gold.boundaries)
+    fwd = boundary_prf(hyp, ref, corpus.offsets)
+    rev = boundary_prf(ref, hyp, corpus.offsets)
     assert fwd.p == rev.r and fwd.r == rev.p and fwd.f == rev.f
 
 
@@ -128,6 +129,34 @@ def test_spearman_validates_input():
 
 def test_fractional_ranks_average_ties():
     assert list(fractional_ranks([10, 20, 20, 30])) == [1.0, 2.5, 2.5, 4.0]
+    # each NaN ranks alone, after +inf, in input order
+    got = fractional_ranks([math.nan, 1, math.inf, math.nan, -math.inf, 1,
+                            math.inf])
+    assert got.tolist() == [6.0, 2.5, 4.5, 7.0, 1.0, 2.5, 4.5]
+    assert fractional_ranks([]).tolist() == []
+
+
+# few distinct values, so that ties, infinities and NaNs recur
+_RANKED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf,
+                                     -math.inf, math.nan]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.integers(2, 30), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ranks_and_correlation_report_match_reference(n, data):
+    column = st.lists(_RANKED, min_size=n, max_size=n)
+    fs = data.draw(column)
+    cols = {"mdl2": data.draw(column), "aic1": data.draw(column)}
+    for v in (fs, *cols.values()):
+        assert fractional_ranks(v).tolist() == reference_ranks(v).tolist()
+    rows = [{"token_f": f, **{c: v[i] for c, v in cols.items()}}
+            for i, f in enumerate(fs)]
+    rep = correlation_report(rows, list(cols))
+    for c, v in cols.items():
+        assert repr(rep.rho[c]) == repr(reference_rho(v, fs))
+        want = [(float(r), f) for r, f in zip(reference_ranks(v), fs)]
+        assert repr(rep.scatter[c]) == repr(want)
 
 
 

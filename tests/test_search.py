@@ -111,6 +111,28 @@ def test_resume_after_torn_ledger_line(toy, tmp_path):
     assert ledger.read_bytes() == before  # torn tail cut, no cell re-run
 
 
+def test_grid_without_resume_starts_the_ledger_over(toy, tmp_path):
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    spec = GridSpec((0.0, 0.4), (0.0,), ("xlogx",))
+    first = run_grid(corpus, gold, spec, out, resume=False)
+    again = run_grid(corpus, gold, spec, out, resume=False)
+    assert len((out / "runs.jsonl").read_bytes().splitlines()) == 2
+    assert [r.key() for r in again] == [r.key() for r in first]
+
+
+def test_resume_with_another_n_max_is_refused(toy, tmp_path):
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    spec = GridSpec((0.0,), (0.0,), ("xlogx",))
+    run_grid(corpus, gold, spec, out, LearnerOptions(n_max=2))
+    before = (out / "runs.jsonl").read_bytes()
+    with pytest.raises(ValueError, match=r"runs\.jsonl.*n_max 2, not 3"):
+        run_grid(corpus, gold, GridSpec((0.0, 0.4), (0.0,), ("xlogx",)),
+                 out, LearnerOptions(n_max=3))
+    assert (out / "runs.jsonl").read_bytes() == before
+
+
 def test_bad_ledger_line_names_file_and_line(toy, tmp_path):
     corpus, gold = toy
     out = tmp_path / "grid"
