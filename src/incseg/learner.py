@@ -187,10 +187,7 @@ class LearnerState:
         index = self.index
         if len(self._gl) < len(index.m):
             self._gl = np.pad(self._gl, (0, len(index.m) - len(self._gl)))
-        comp = index.comp[:, born]
-        lens = np.fromiter(map(self.seq.lengths.__getitem__,
-                               comp.ravel().tolist()),
-                           np.int64, comp.size).reshape(comp.shape)
+        lens = self.seq.lengths[index.comp[:, born]]
         lens[np.arange(index.n_max)[:, None] >= index.order[born]] = 0
         parts = 0.0
         for gl in self._g[lens]:

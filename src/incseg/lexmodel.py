@@ -7,7 +7,6 @@ compression consumes exactly the occurrences that were counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -59,14 +58,14 @@ class TokenSequence:
     nxt: np.ndarray
     prv: np.ndarray
     counts: np.ndarray  # int64, one slot per token id
-    lengths: list[int]
+    lengths: np.ndarray  # int64, one slot per token id
     total: int
     n_chars: int
     offsets: np.ndarray  # the corpus's block offsets
 
     def new_token(self, length: int) -> int:
         self.counts = np.append(self.counts, 0)
-        self.lengths.append(length)
+        self.lengths = np.append(self.lengths, length)
         return len(self.counts) - 1
 
     def merge(self, sites: np.ndarray, fresh: int) -> None:
@@ -117,7 +116,8 @@ def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     prv = np.arange(-1, n - 1, dtype=np.int64)
     prv[starts] = -1
     counts = np.bincount(tok, minlength=n_base)
-    seq = TokenSequence(tok, nxt, prv, counts, [1] * n_base, n, n, starts)
+    seq = TokenSequence(tok, nxt, prv, counts, np.ones(n_base, np.int64), n,
+                        n, starts)
     return seq, Lexicon(corpus.chars)
 
 
@@ -137,10 +137,7 @@ class CandidateIndex:
     Columns, filled when the id is born: ``comp[:, i]``, its tokens padded
     with 0; ``mult[:, i]``, each distinct token's count at its first slot
     and 0 elsewhere; ``order[i]``, its length, 0 while i is free;
-    ``key[i]``, (prefix id, last token) packed in an int64, a bigram's
-    first token standing for the prefix id; ``m[i]``, its greedy occurrence
-    count, the only copy there is.  A freed id is reused; a prefix never
-    dies before its extensions, so no live key names a reused id.  Ids
+    ``m[i]``, its greedy occurrence count, the only copy there is.  Ids
     below ``size`` have been used.  One rule, ``_greedy``, gives the sites
     ``apply`` merges and the counts ``_settle`` redoes, one pass per order.
     """
@@ -155,38 +152,33 @@ class CandidateIndex:
         self.m = np.zeros(1024, np.int64)
         self._overlaps = np.zeros(1024, bool)   # self-overlapping n-gram
         self.order = np.zeros(1024, np.int64)
-        self.key = np.zeros(1024, np.int64)
         self.comp = np.zeros((n_max, 1024), np.int64)
         self.mult = np.zeros((n_max, 1024), np.int64)
-        self._ids: dict[int, dict[int, int]] = {n: {} for n in self.orders}
         self._free: list[int] = []
         self._freed: list[int] = []
         self._born: list[int] = []
-        self._settle(self._register(np.flatnonzero(seq.tok >= 0)))
+        live = np.flatnonzero(seq.tok >= 0)
+        self._settle(self._register([live] * len(self.orders)))
 
     def _intern(self, n: int, keys: np.ndarray) -> np.ndarray:
-        """The ids of the order-n ``keys``; the new ones take free ids
-        first, last freed first, then unused ones, and get their columns."""
-        table = self._ids[n]
-        ids = np.fromiter(map(table.get, keys.tolist(), repeat(-1)),
-                          np.int64, len(keys))
-        new = np.flatnonzero(ids < 0)
-        if not len(new):
-            return ids
-        reused = self._free[-len(new):][::-1]
-        del self._free[-len(new):]
-        top = self.size + len(new) - len(reused)
+        """Ids for the order-n ``keys``, (prefix id, last token) packed in
+        an int64, a bigram's first token standing for the prefix id.  No
+        live n-gram has one of these keys, so each takes a free id, last
+        freed first, then an unused one, and gets its columns."""
+        if not len(keys):  # [-0:] below would take every free id
+            return keys
+        reused = self._free[-len(keys):][::-1]
+        del self._free[-len(keys):]
+        top = self.size + len(keys) - len(reused)
         born = np.array(reused + list(range(self.size, top)), np.int64)
         self.size = top
         grow = (1 << (top - 1).bit_length()) - len(self.m)
         if grow > 0:  # every column alike, to a power-of-2 capacity
-            for name in ("m", "_overlaps", "order", "key", "comp", "mult"):
+            for name in ("m", "_overlaps", "order", "comp", "mult"):
                 col = getattr(self, name)
                 setattr(self, name, np.pad(
                     col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
-        ids[new] = born
-        keys = keys[new]
-        t = np.zeros((self.n_max, len(new)), np.int64)
+        t = np.zeros((self.n_max, len(keys)), np.int64)
         t[:n - 1] = keys >> 32 if n == 2 else self.comp[:n - 1, keys >> 32]
         t[n - 1] = keys & 0xFFFFFFFF
         eq = t[:n, None] == t[:n]               # eq[a, b]: slot a == slot b
@@ -196,36 +188,37 @@ class CandidateIndex:
         self.comp[:, born] = t
         self.mult[:, born] = mult
         self.order[born] = n
-        self.key[born] = keys
         self._overlaps[born] = np.any(
             [np.diagonal(eq, -d).all(1) for d in range(1, n)], 0)
-        table.update(zip(keys.tolist(), born.tolist()))
         self._born += born.tolist()
-        return ids
+        return born
 
-    def _register(self, pos: np.ndarray) -> list[np.ndarray]:
-        """Intern and count the n-grams starting at live positions ``pos``;
-        returns the ids met, per order."""
+    def _register(self, reach: list[np.ndarray]) -> list[np.ndarray]:
+        """Intern and count the order-n n-grams that start at the distinct
+        live positions ``reach[n - 2]``, none of them live yet; returns the
+        ids born, per order."""
         tok, nxt = self.seq.tok, self.seq.nxt
-        head, q = tok[pos], pos
         met = []
-        for n in self.orders:
-            q = nxt[q]
-            ok = q != -1
-            pos, q = pos[ok], q[ok]
-            keys, inv, cnt = np.unique(head[ok] << 32 | tok[q],
+        for n, pos in zip(self.orders, reach):
+            q = pos
+            for _ in range(n - 1):
+                q = nxt[q]
+                ok = q != -1
+                pos, q = pos[ok], q[ok]
+            head = tok[pos] if n == 2 else self.gram[n - 1][pos]
+            keys, inv, cnt = np.unique(head << 32 | tok[q],
                                        return_inverse=True, return_counts=True)
             ids = self._intern(n, keys)
             self.m[ids] += cnt
-            head = ids[inv]
-            self.gram[n][pos] = head
+            self.gram[n][pos] = ids[inv]
             met.append(ids)
         return met
 
-    def _deregister(self, pos: np.ndarray) -> list[np.ndarray]:
-        """Uncount the n-grams starting at ``pos``; returns the ids met."""
+    def _deregister(self, reach: list[np.ndarray]) -> list[np.ndarray]:
+        """Uncount the order-n n-grams that start at ``reach[n - 2]``;
+        returns the ids met."""
         met = []
-        for n in self.orders:
+        for n, pos in zip(self.orders, reach):
             g = self.gram[n]
             ids = g[pos]
             ids, cnt = np.unique(ids[ids >= 0], return_counts=True)
@@ -288,22 +281,18 @@ class CandidateIndex:
             self.m[mine] = 0
             np.add.at(self.m, self._greedy(n, mine)[1], 1)
         dead = ids[self.m[ids] == 0]
-        for n, key in zip(self.order[dead].tolist(), self.key[dead].tolist()):
-            del self._ids[n][key]
         self.order[dead] = 0
         self._free += dead.tolist()
         self._freed += dead.tolist()
 
     def id_of(self, t: TokenTuple) -> int | None:
         """The id of n-gram ``t``, or None when it does not occur."""
-        if not 2 <= len(t) <= self.n_max:
+        n = len(t)
+        if not 2 <= n <= self.n_max:
             return None
-        i = t[0]
-        for n in self.orders[:len(t) - 1]:
-            i = self._ids[n].get(i << 32 | t[n - 1])
-            if i is None:
-                return None
-        return i
+        hit = np.flatnonzero((self.order == n)
+                             & (self.comp[:n] == np.array(t)[:, None]).all(0))
+        return int(hit[0]) if len(hit) else None
 
     def tuple_of(self, i: int) -> TokenTuple | None:
         """The n-gram of id ``i``, or None while ``i`` is free."""
@@ -313,26 +302,27 @@ class CandidateIndex:
         return int(np.argmax(self.gram[self.order[i]] == i))
 
     def apply(self, i: int, lex: Lexicon) -> CompressionDelta:
-        """Compress all greedy occurrences of n-gram ``i`` in one batch:
-        clear the n-grams at the sites and the ``n_max - 1`` positions left
-        of each, merge, and register again at the survivors.  That is what
-        merging site by site gives, as the index is a function of the
-        sequence."""
+        """Compress all greedy occurrences of n-gram ``i`` in one batch.
+        Only the n-grams that reach a site change: every order at the site
+        positions, and the orders above j at the j-th position left of a
+        site.  Uncount those, merge, and count the ones that start at the
+        survivors, each holding the fresh token.  That is what merging site
+        by site gives, as the index is a function of the sequence."""
         t = self.tuple_of(i)
         seq = self.seq
         sites = self._sites(i)
-        fresh = seq.new_token(sum(seq.lengths[w] for w in t))
+        fresh = seq.new_token(seq.lengths[list(t)].sum())
         lex.define(t, "".join(lex.entries[w].surface for w in t))
-        near = [sites.ravel()]
-        q = sites[:, 0]
-        for _ in range(self.n_max - 1):
+        reach, near, q = [], sites.ravel(), sites[:, 0]
+        for _ in self.orders:  # the order-n positions add the (n-1)-th left
             q = seq.prv[q]
             q = q[q != -1]
-            near.append(q)
-        near = distinct(np.concatenate(near))
-        met = self._deregister(near)
+            near = distinct(np.concatenate((near, q)))
+            reach.append(near)
+        met = self._deregister(reach)
         seq.merge(sites, fresh)
-        self._settle(met + self._register(near[seq.tok[near] >= 0]))
+        self._settle(met + self._register([p[seq.tok[p] >= 0]
+                                           for p in reach]))
         return CompressionDelta(fresh, len(sites))
 
     def consume_dirty(self) -> tuple[list[int], list[int]]:

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,15 +93,19 @@ def save_boundaries(boundaries: Iterable[int], directory: Path) -> tuple[str, st
     rel = f"{digest[:24]}.npy"
     fp = directory / rel
     if not fp.exists():
-        # write aside, then rename: no partial file under the final name
-        tmp = directory / f".{rel}.{os.getpid()}.tmp"
-        try:
-            with tmp.open("wb") as fh:
-                np.save(fh, deltas)
-            os.replace(tmp, fp)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _publish(fp, lambda fh: np.save(fh, deltas))
     return digest, rel
+
+
+def _publish(fp: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``fp`` aside, then rename: no partial file under its name."""
+    tmp = fp.with_name(f".{fp.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            write(fh)
+        os.replace(tmp, fp)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_boundaries(path: Path) -> frozenset[int]:
@@ -217,24 +221,51 @@ def correlation_rows(out_dir: str | Path, population: str) -> list[dict]:
     return rows
 
 
+def _grid_identity(corpus: RawCorpus, n_max: int) -> dict:
+    """What the runs of a grid depend on besides their cell: ``n_max`` and
+    a digest of the corpus as the learner sees it, its characters, their
+    ids and the block offsets."""
+    h = hashlib.sha256(json.dumps(corpus.chars).encode("utf-8"))
+    for part in (corpus.codes, corpus.offsets):
+        h.update(np.int64(len(part)).tobytes())
+        h.update(np.ascontiguousarray(part, "<i8"))  # no copy of int64 ids
+    return {"n_max": n_max, "corpus_sha256": h.hexdigest()}
+
+
 def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
              spec: GridSpec, out_dir: str | Path,
              options: LearnerOptions | None = None,
              jobs: int = 1, trace: bool = False,
              resume: bool = True) -> list[RunRecord]:
     """One learner run per (penalty kind, alpha, beta) into a ledger that a
-    later call resumes, unless ``resume=False`` empties it first.  A resume
-    of runs made with another ``n_max`` is refused."""
+    later call resumes, unless ``resume=False`` empties it first.
+
+    Before the first cell, ``identity.json`` records the grid's
+    ``_grid_identity``; a resume with another one is refused.  A ledger
+    from before that file adopts one on its first resume, once its rows
+    pass the ``n_max`` check."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     options = options or LearnerOptions()
+    ledger_path, kept = out / "runs.jsonl", out / "identity.json"
+    identity = _grid_identity(corpus, options.n_max)
+    old = (json.loads(kept.read_text(encoding="utf-8"))
+           if resume and kept.exists() else None)
+    if old is not None:
+        for field, value in identity.items():
+            if old.get(field) != value:
+                raise ValueError(
+                    f"{ledger_path} holds runs with {field} {old.get(field)}, "
+                    f"not {value}; start over in a new directory")
     # loading also cuts a torn tail before appending
     done = {rec.key(): rec for rec in load_ledger(out)} if resume else {}
     for rec in done.values():
         if rec.n_max != options.n_max:
             raise ValueError(
-                f"{out / 'runs.jsonl'} holds runs with n_max {rec.n_max}, "
+                f"{ledger_path} holds runs with n_max {rec.n_max}, "
                 f"not {options.n_max}; start over in a new directory")
+    if old is None:
+        _publish(kept, lambda fh: fh.write(json.dumps(identity).encode()))
     todo = [c for c in spec.cells() if c not in done]
 
     def _record(row: dict) -> None:
@@ -247,8 +278,7 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
         done[(row["penalty"], row["alpha"], row["beta"])] = RunRecord(**row)
 
     work = (corpus, gold, options, out, trace)
-    ledger = (out / "runs.jsonl").open("a" if resume else "w",
-                                       encoding="utf-8")
+    ledger = ledger_path.open("a" if resume else "w", encoding="utf-8")
     try:
         if jobs <= 1 or len(todo) <= 1:
             for cell in todo:

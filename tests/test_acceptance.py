@@ -88,7 +88,6 @@ def _audit_run(corpus, params, options) -> tuple[float, int, int, bool]:
     max_gap = 0.0
     conservation_bad = 0
     nonimproving = 0
-    lengths = state.seq.lengths
     n = corpus.n_chars
     small = n <= 600
     while True:
@@ -100,8 +99,9 @@ def _audit_run(corpus, params, options) -> tuple[float, int, int, bool]:
         oracle_prev = oracle_now
         if ev.delta >= 0:
             nonimproving += 1
-        # new_token replaces the counts array, so read it after each step
-        counts = state.seq.counts
+        # new_token replaces the counts and lengths arrays, so read them
+        # after each step
+        counts, lengths = state.seq.counts, state.seq.lengths
         if sum(c * lengths[t] for t, c in enumerate(counts)) != n:
             conservation_bad += 1
         if small or state.iteration % 25 == 0:

@@ -483,6 +483,25 @@ def test_grid_resume_with_another_nmax_is_one_line_error(corpus_file,
     assert (grid / "manifest.json").read_bytes() == manifest
 
 
+def test_grid_resume_over_another_corpus_is_one_line_error(corpus_file,
+                                                           tmp_path, capsys):
+    grid = tmp_path / "grid"
+    cell = ["--alpha", "0", "--beta", "0", "--out", str(grid)]
+    assert main(["grid", str(corpus_file), *cell]) == 0
+    kept = {f: (grid / f).read_bytes()
+            for f in ("runs.jsonl", "manifest.json", "identity.json")}
+    other = tmp_path / "toy2.txt"
+    other.write_text(toy_text(60, seed=6), encoding="utf-8")
+    # the same file split at a punctuation mark gives the learner another
+    # stream
+    for argv in ([str(other)], [str(corpus_file), "--punct-set", "a"]):
+        capsys.readouterr()
+        assert main(["grid", *argv, *cell]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "corpus_sha256" in err[0], err
+        assert {f: (grid / f).read_bytes() for f in kept} == kept
+
+
 def test_punct_hard_reads_each_file_once(tmp_path, capsys, monkeypatch):
     gold = tmp_path / "zh.txt"
     gold.write_text("今天 天气 好 ， 我们 出去 玩 。\n好 的 ！\n",

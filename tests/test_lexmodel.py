@@ -1,5 +1,6 @@
 """Token sequence bookkeeping: greedy counts, compression, n-gram stats."""
 
+import itertools
 import json
 import random
 
@@ -207,19 +208,49 @@ def test_index_stays_exact_under_compressions():
 def test_conservation_random(seed):
     rng = random.Random(seed)
     text = random_gold_text(rng, 150, rng.randint(2, 6))
-    corpus, seq, lex = seq_for(text)
-    index = CandidateIndex(seq, 2)
-    index.consume_dirty()
-    n = corpus.n_chars
-    for _ in range(6):
-        live = sorted(live_tuples(index))
-        if not live:
-            break
-        index.apply(index.id_of(rng.choice(live)), lex)
+    for n_max in (2, 3, 4):
+        corpus, seq, lex = seq_for(text)
+        index = CandidateIndex(seq, n_max)
         index.consume_dirty()
-        verify_index(index)
-        assert sum(c * seq.lengths[t]
-                   for t, c in enumerate(seq.counts)) == n
+        n = corpus.n_chars
+        for _ in range(6):
+            live = sorted(live_tuples(index))
+            if not live:
+                break
+            fresh = index.apply(index.id_of(rng.choice(live)), lex).fresh_id
+            # apply re-indexes only the n-grams the merge changed, so every
+            # id it creates holds the fresh token
+            for i in index.consume_dirty()[1]:
+                assert fresh in index.tuple_of(i), (text, n_max, i)
+            verify_index(index)
+            assert sum(c * seq.lengths[t]
+                       for t, c in enumerate(seq.counts)) == n
+
+
+def test_id_of_matches_columns():
+    rng = random.Random(3)
+    for n_max in (2, 3, 4):
+        text = random_gold_text(rng, 80, 3)
+        corpus, seq, lex = seq_for(text)
+        index = CandidateIndex(seq, n_max)
+        seen = {index.tuple_of(i) for i in index.consume_dirty()[1]}
+        for _ in range(4):
+            index.apply(index.id_of(min(live_tuples(index))), lex)
+            seen |= {index.tuple_of(i) for i in index.consume_dirty()[1]}
+        live = [i for i in range(index.size) if index.order[i]]
+        assert live and all(index.id_of(index.tuple_of(i)) == i for i in live)
+        known = {index.tuple_of(i) for i in live}
+        # a freed id keeps its old tokens in ``comp``; it must not match
+        assert seen - known
+        assert all(index.id_of(t) is None for t in seen - known)
+        for n in index.orders:
+            absent = next(t for t in itertools.product(range(len(lex)),
+                                                       repeat=n)
+                          if t not in known)
+            assert index.id_of(absent) is None, absent
+        assert index.id_of((0,)) is None
+        assert index.id_of((index.tuple_of(live[0]) * n_max)[:n_max + 1]) \
+            is None
 
 
 @pytest.mark.parametrize("text, merged", [("aaaa\nab\n", "aa"),
@@ -261,11 +292,11 @@ def test_greedy_counts_and_sites_on_runs(text, n_max, data):
 
 
 def test_settle_recounts_interleaved_self_overlaps_in_one_batch():
-    # merging (c, d) at n_max 4 meets aba, bab and aaa among the order-3
-    # n-grams left of the sites: their rows interleave in position, clash
-    # within each run, and the aba runs of the last two blocks meet at a
-    # block edge
-    text = "ababab cd\nbababa cd\naaaa cd\naababa\nabab aaa\n"
+    # merging (a, b, c) at n_max 4 changes aa, aaa, aba, bab and five
+    # self-overlapping 4-grams just left of the sites; the occurrences they
+    # keep interleave in position, clash within each run, and the aba runs
+    # of the last two blocks meet at a block edge
+    text = "ababab abc\nbababa abc\naaaa abc\naababa\nabab aaa\n"
     corpus, seq, lex = seq_for(text)
     index = CandidateIndex(seq, 4)
     batches = []
@@ -276,10 +307,11 @@ def test_settle_recounts_interleaved_self_overlaps_in_one_batch():
         return greedy(n, ids)
 
     index._greedy = spy
-    index.apply(index.id_of(ids(corpus, "cd")), lex)
+    index.apply(index.id_of(ids(corpus, "abc")), lex)
     aba, bab, aaa, aa = (ids(corpus, s) for s in ("aba", "bab", "aaa", "aa"))
+    quads = {ids(corpus, s) for s in ("aaaa", "abaa", "abab", "baab", "baba")}
     # one recount per order after the merge's own site search
-    assert batches[1:] == [(2, {aa}), (3, {aaa, aba, bab})]
+    assert batches[1:] == [(2, {aa}), (3, {aaa, aba, bab}), (4, quads)]
     for t, m in ((aba, 4), (bab, 4), (aaa, 2), (aa, 4)):
         assert index.m[index.id_of(t)] == count_occurrences(seq, t) == m, t
     verify_index(index)

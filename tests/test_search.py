@@ -133,6 +133,45 @@ def test_resume_with_another_n_max_is_refused(toy, tmp_path):
     assert (out / "runs.jsonl").read_bytes() == before
 
 
+def test_resume_over_another_corpus_is_refused(toy, tmp_path, monkeypatch):
+    import incseg.search as search_mod
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    spec = GridSpec((0.0,), (0.0,), ("xlogx",))
+    run_grid(corpus, gold, spec, out)
+    before = {f: (out / f).read_bytes() for f in ("runs.jsonl",
+                                                   "identity.json")}
+    other, other_gold = make_corpus(toy_text(80, seed=3), tmp_path=tmp_path)
+    monkeypatch.setattr(search_mod, "_run_cell", None)  # no cell may run
+    with pytest.raises(ValueError, match=r"runs\.jsonl.*corpus_sha256"):
+        run_grid(other, other_gold, GridSpec((0.0, 0.4), (0.0,), ("xlogx",)),
+                 out)
+    with pytest.raises(ValueError, match=r"corpus_sha256"):
+        staged_search(other, other_gold, "mdl2", (0.0,), (0.0,), out,
+                      beta0=0.0)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
+def test_ledger_without_identity_adopts_one(toy, tmp_path):
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    spec = GridSpec((0.0,), (0.0,), ("xlogx",))
+    first = run_grid(corpus, gold, spec, out)
+    identity = json.loads((out / "identity.json").read_text())
+    assert identity["n_max"] == 2 and len(identity["corpus_sha256"]) == 64
+    # a ledger written before the identity file existed
+    (out / "identity.json").unlink()
+    assert run_grid(corpus, gold, spec, out) == first
+    assert json.loads((out / "identity.json").read_text()) == identity
+    other, other_gold = make_corpus(toy_text(80, seed=3), tmp_path=tmp_path)
+    with pytest.raises(ValueError, match=r"corpus_sha256"):
+        run_grid(other, other_gold, spec, out)
+    # starting over takes the new corpus's identity
+    run_grid(other, other_gold, spec, out, resume=False)
+    assert json.loads((out / "identity.json").read_text()) != identity
+    assert not list(out.glob(".*"))  # no file left aside
+
+
 def test_bad_ledger_line_names_file_and_line(toy, tmp_path):
     corpus, gold = toy
     out = tmp_path / "grid"
