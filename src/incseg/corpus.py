@@ -209,14 +209,16 @@ def write_segmentation(
     corpus: RawCorpus,
     path: str | Path,
 ) -> None:
-    """Write the segmented corpus and a JSON sidecar of boundary positions."""
-    bl = sorted(set(boundaries))
+    """Write the segmented corpus and a JSON sidecar of the boundary
+    positions the text holds: the block edges and the ``boundaries`` inside
+    the text."""
+    starts = corpus.word_starts(boundaries)
     path = Path(path)
-    path.write_text(corpus.render(bl), encoding="utf-8")
+    path.write_text(corpus.render(starts), encoding="utf-8")
     meta = {
         "n_chars": corpus.n_chars,
         "n_blocks": len(corpus.offsets),
-        "boundaries": bl,
+        "boundaries": starts[1:].tolist(),
     }
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(meta), encoding="utf-8"

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 def majority_vote(boundary_sets: Sequence[Iterable[int]],
@@ -17,15 +18,15 @@ def majority_vote(boundary_sets: Sequence[Iterable[int]],
     k = len(boundary_sets)
     if k < 1:
         raise ValueError("need at least one input")
-    edges = set(block_edges)
-    votes: Counter[int] = Counter()
+    votes = np.zeros(n_chars + 1, np.int64)
     for bs in boundary_sets:
-        s = set(bs)
-        bad = [p for p in s if not 0 < p < n_chars]
-        if bad:
+        b = bs if isinstance(bs, np.ndarray) else np.fromiter(bs, np.int64)
+        bad = b[(b <= 0) | (b >= n_chars)]
+        if len(bad):
             raise ValueError(
-                f"boundary position {bad[0]} outside 1..{n_chars - 1}; "
+                f"boundary position {bad.min()} outside 1..{n_chars - 1}; "
                 "inputs must cover the same character stream")
-        votes.update(s - edges)
-    voted = {p for p, v in votes.items() if 2 * v > k}
-    return frozenset(voted | edges)
+        votes[b] += 1  # buffered: a repeated position adds one vote
+    keep = 2 * votes > k
+    keep[np.fromiter(block_edges, np.int64)] = True
+    return frozenset(np.flatnonzero(keep).tolist())

@@ -196,17 +196,19 @@ class LearnerState:
 
     # -- scoring -------------------------------------------------------
 
-    def _scores(self, rows: slice | list[int]) -> np.ndarray:
-        """Exact objective change of compressing each row's candidate now.
+    def _scores(self) -> np.ndarray:
+        """Exact objective change of compressing each id's candidate now,
+        for the ids below ``index.size``.
 
         The one scoring formula: every term is the scalar computation's,
-        added in the same order, and ``x ln x`` comes from one table, so a
-        row's score does not depend on which other rows are scored with it.
-        Free rows score inf.
+        added in the same order, and ``x ln x`` comes from one table, so an
+        id's score does not depend on which other ids are scored with it.
+        Free ids score inf.
         """
         index = self.index
         xlx = self._xlx
         counts = self.seq.counts
+        rows = slice(0, index.size)
         m = index.m[rows]
         n = index.order[rows]
         acc = 0.0
@@ -230,7 +232,7 @@ class LearnerState:
         """Exact minimizer's (score, id): lowest score, then largest m,
         then the lowest (first position, n-gram)."""
         index = self.index
-        scores = self._scores(slice(0, index.size))
+        scores = self._scores()
         best = scores.min(initial=np.inf)
         if best == np.inf:
             return None
@@ -240,13 +242,6 @@ class LearnerState:
         i = tied[0] if len(tied) == 1 else min(
             tied, key=lambda j: (index.first_position(j), index.tuple_of(j)))
         return float(best), i
-
-    def score_candidate(self, s: Sequence[int]) -> float:
-        """Exact objective change if ``s`` were compressed now."""
-        i = self.index.id_of(tuple(s))
-        if i is None:
-            raise ValueError(f"{tuple(s)} is not a live candidate")
-        return float(self._scores([i])[0])
 
     # -- stepping ------------------------------------------------------
 
@@ -259,15 +254,10 @@ class LearnerState:
         return CompressionEvent(self.iteration, t, cd.fresh_id,
                                 cd.occurrences, delta, self.objective)
 
-    def check_objective(self, rel_tol: float = 1e-6) -> None:
-        fresh = penalized_likelihood(self.seq, self.params, self._sign)
-        if abs(fresh - self.objective) > rel_tol * max(1.0, abs(fresh)):
-            raise AssertionError(
-                f"objective drift: incremental {self.objective!r} "
-                f"vs recomputed {fresh!r}")
-
     def hypothesis(self) -> SegmentationHypothesis:
-        return SegmentationHypothesis(frozenset(self.seq.boundary_set()),
+        """The segmentation now: every live position but 0 is a boundary."""
+        live = np.flatnonzero(self.seq.tok >= 0)
+        return SegmentationHypothesis(frozenset(live[1:].tolist()),
                                       self.seq.n_chars, self.seq, self.lex)
 
 
@@ -330,12 +320,12 @@ def _trace_record(state: LearnerState, corpus: RawCorpus,
         n_boundaries=seq.total - 1 if seq.total else 0,
     )
     opts = state.options
+    starts = np.flatnonzero(seq.tok >= 0)  # word starts, 0 always one
     if opts.trace_boundaries:
-        rec.boundaries = frozenset(seq.boundary_set())
+        rec.boundaries = frozenset(starts[1:].tolist())
     if opts.trace_mode == "criteria":
         from . import criteria as _criteria
         from . import metrics as _metrics
-        starts = np.flatnonzero(seq.tok >= 0)  # word starts, 0 included
         vals = _criteria.evaluate_boundaries(corpus, starts)
         rec.criteria = {cid: cv.value for cid, cv in vals.items()}
         if gold_starts is not None:

@@ -39,9 +39,6 @@ class Lexicon:
     def surface(self, tid: int) -> str:
         return self.entries[tid].surface
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(slots=True, eq=False)
 class TokenSequence:
@@ -90,12 +87,6 @@ class TokenSequence:
         live = np.flatnonzero(self.tok >= 0)
         cuts = np.searchsorted(live, self.offsets[1:])
         return [b.tolist() for b in np.split(self.tok[live], cuts)]
-
-    def boundary_set(self) -> set[int]:
-        """All word-boundary character positions, block edges included."""
-        out = set(np.flatnonzero(self.tok >= 0).tolist())
-        out.discard(0)
-        return out
 
     def n_types(self) -> int:
         return int(np.count_nonzero(self.counts))
@@ -284,15 +275,6 @@ class CandidateIndex:
         self.order[dead] = 0
         self._free += dead.tolist()
         self._freed += dead.tolist()
-
-    def id_of(self, t: TokenTuple) -> int | None:
-        """The id of n-gram ``t``, or None when it does not occur."""
-        n = len(t)
-        if not 2 <= n <= self.n_max:
-            return None
-        hit = np.flatnonzero((self.order == n)
-                             & (self.comp[:n] == np.array(t)[:, None]).all(0))
-        return int(hit[0]) if len(hit) else None
 
     def tuple_of(self, i: int) -> TokenTuple | None:
         """The n-gram of id ``i``, or None while ``i`` is free."""

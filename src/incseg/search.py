@@ -108,13 +108,13 @@ def _publish(fp: Path, write: Callable[[BinaryIO], object]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_boundaries(path: Path) -> frozenset[int]:
-    deltas = np.load(path)
-    return frozenset(int(x) for x in np.cumsum(deltas))
+def load_boundaries(path: Path) -> np.ndarray:
+    """The sorted int64 positions that ``save_boundaries`` wrote."""
+    return np.cumsum(np.load(path), dtype=np.int64)
 
 
 # The arguments every cell of a grid shares, (corpus, gold, options,
-# out_dir, trace), set in each pool worker by the fork initializer.
+# out_dir), set in each pool worker by the fork initializer.
 _WORK: dict = {}
 
 
@@ -141,15 +141,14 @@ def _spell(x: float) -> str:
 
 
 def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
-                  options: LearnerOptions, out_dir: Path, trace: bool,
+                  options: LearnerOptions, out_dir: Path,
                   kind: str, alpha: float, beta: float) -> dict:
     t0 = time.perf_counter()
     params = PenaltyParams(alpha=alpha, beta=beta, kind=kind)
-    opts = replace(options, trace_mode="criteria" if trace else "none")
-    result = _learner.run(corpus, params, opts, gold=gold)
+    result = _learner.run(corpus, params, options, gold=gold)
     bounds = result.hypothesis.boundaries
     trace_rel = None
-    if trace:  # a criteria trace ends with a snapshot of these boundaries
+    if options.trace_mode == "criteria":  # ends with a snapshot of bounds
         crit = result.trace[-1].criteria
         trace_rel = f"traces/{kind}_a{_spell(alpha)}_b{_spell(beta)}.jsonl"
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
@@ -221,15 +220,18 @@ def correlation_rows(out_dir: str | Path, population: str) -> list[dict]:
     return rows
 
 
-def _grid_identity(corpus: RawCorpus, n_max: int) -> dict:
-    """What the runs of a grid depend on besides their cell: ``n_max`` and
-    a digest of the corpus as the learner sees it, its characters, their
-    ids and the block offsets."""
+def _grid_identity(corpus: RawCorpus, gold: GoldSegmentation | None,
+                   options: LearnerOptions) -> dict:
+    """What the rows of a grid's ledger depend on besides their cell: the
+    options its cells run with, whether gold is present, and a digest of
+    the corpus as the learner sees it, its characters, their ids and the
+    block offsets."""
     h = hashlib.sha256(json.dumps(corpus.chars).encode("utf-8"))
     for part in (corpus.codes, corpus.offsets):
         h.update(np.int64(len(part)).tobytes())
         h.update(np.ascontiguousarray(part, "<i8"))  # no copy of int64 ids
-    return {"n_max": n_max, "corpus_sha256": h.hexdigest()}
+    return {**asdict(options), "gold": gold is not None,
+            "corpus_sha256": h.hexdigest()}
 
 
 def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
@@ -241,22 +243,24 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
     later call resumes, unless ``resume=False`` empties it first.
 
     Before the first cell, ``identity.json`` records the grid's
-    ``_grid_identity``; a resume with another one is refused.  A ledger
-    from before that file adopts one on its first resume, once its rows
-    pass the ``n_max`` check."""
+    ``_grid_identity``; a resume that differs in a field it holds is
+    refused.  An identity written before some field existed adopts that
+    field on its first resume, and a ledger from before the file adopts a
+    whole one, once its rows pass the ``n_max`` check."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    options = options or LearnerOptions()
+    # the options every cell runs with: a criteria trace, or none
+    options = replace(options or LearnerOptions(),
+                      trace_mode="criteria" if trace else "none")
     ledger_path, kept = out / "runs.jsonl", out / "identity.json"
-    identity = _grid_identity(corpus, options.n_max)
+    identity = _grid_identity(corpus, gold, options)
     old = (json.loads(kept.read_text(encoding="utf-8"))
-           if resume and kept.exists() else None)
-    if old is not None:
-        for field, value in identity.items():
-            if old.get(field) != value:
-                raise ValueError(
-                    f"{ledger_path} holds runs with {field} {old.get(field)}, "
-                    f"not {value}; start over in a new directory")
+           if resume and kept.exists() else {})
+    for field, value in identity.items():
+        if old.get(field, value) != value:
+            raise ValueError(
+                f"{ledger_path} holds runs with {field} {old[field]}, "
+                f"not {value}; start over in a new directory")
     # loading also cuts a torn tail before appending
     done = {rec.key(): rec for rec in load_ledger(out)} if resume else {}
     for rec in done.values():
@@ -264,7 +268,7 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
             raise ValueError(
                 f"{ledger_path} holds runs with n_max {rec.n_max}, "
                 f"not {options.n_max}; start over in a new directory")
-    if old is None:
+    if old != identity:
         _publish(kept, lambda fh: fh.write(json.dumps(identity).encode()))
     todo = [c for c in spec.cells() if c not in done]
 
@@ -277,7 +281,7 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
         ledger.flush()
         done[(row["penalty"], row["alpha"], row["beta"])] = RunRecord(**row)
 
-    work = (corpus, gold, options, out, trace)
+    work = (corpus, gold, options, out)
     ledger = ledger_path.open("a" if resume else "w", encoding="utf-8")
     try:
         if jobs <= 1 or len(todo) <= 1:

@@ -18,6 +18,7 @@ from math import fsum, log
 import numpy as np
 
 from incseg.corpus import CorpusError
+from incseg.learner import penalized_likelihood
 
 
 # -- the corpus, parsed in two passes over strings ---------------------------
@@ -317,6 +318,37 @@ def walk(seq):
             blocks[-1].append(p)
             p = nxt[p]
     return blocks
+
+
+def boundaries(seq):
+    """Every boundary position of the sequence, block edges included:
+    each live position but 0, found by following the links."""
+    return {p for block in walk(seq) for p in block} - {0}
+
+
+def id_of(index, t):
+    """The id whose columns hold n-gram ``t``, or None, by a scan of
+    ``tuple_of`` over every id the index has used."""
+    return next((i for i in range(index.size) if index.tuple_of(i) == t),
+                None)
+
+
+def score_of(state, t):
+    """The score the learner's argmin compares for live n-gram ``t``: its
+    entry of the one table ``_scores`` computes."""
+    i = id_of(state.index, tuple(t))
+    if i is None:
+        raise ValueError(f"{tuple(t)} is not a live candidate")
+    return float(state._scores()[i])
+
+
+def check_objective(state, rel_tol=1e-6):
+    """Assert the learner's running objective against a full recompute."""
+    fresh = penalized_likelihood(state.seq, state.params,
+                                 state.options.complexity_sign)
+    if abs(fresh - state.objective) > rel_tol * max(1.0, abs(fresh)):
+        raise AssertionError(f"objective drift: incremental "
+                             f"{state.objective!r} vs recomputed {fresh!r}")
 
 
 def _scan_sites(seq, s):

@@ -1,6 +1,7 @@
 """Corpus loading, hard boundaries, and serialization round trips."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,19 @@ def test_write_all_boundaries(tmp_path):
     out = tmp_path / "out.txt"
     write_segmentation({1, 2}, corpus, out)
     assert out.read_text(encoding="utf-8") == "a b c\n"
+
+
+def test_write_segmentation_sidecar_holds_what_the_text_holds(tmp_path):
+    # 0 and 99 lie outside the text and the block edge 2 is not given:
+    # the sidecar lists the positions the written text has, as it reloads
+    corpus, _ = make_corpus("ab\ncd\n", tmp_path=tmp_path)
+    out = tmp_path / "out.txt"
+    write_segmentation({0, 1, 99}, corpus, out)
+    assert out.read_text(encoding="utf-8") == "a b\ncd\n"
+    meta = json.loads(out.with_suffix(".txt.json").read_text())
+    assert meta["boundaries"] == [1, 2]
+    _, reloaded = load_gold(out, "brent")
+    assert sorted(reloaded.boundaries) == meta["boundaries"]
 
 
 def test_default_punctuation_categories():

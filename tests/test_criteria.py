@@ -17,7 +17,7 @@ from incseg.learner import LearnerOptions, PenaltyParams, run
 from incseg.lexmodel import init_from_corpus
 
 from conftest import benchmark_corpus, make_corpus, random_gold_text
-from oracles import (enumerate_segmentations, oracle_criteria,
+from oracles import (boundaries, enumerate_segmentations, oracle_criteria,
                      oracle_unigram_scores)
 
 
@@ -263,7 +263,7 @@ def test_surface_canonicalization_merges_duplicate_types():
     merge_at(seq, lex, [3, 4])  # a(bc)
     tok = seq.tok.tolist()
     assert tok[0] != tok[3] and lex.surface(tok[0]) == lex.surface(tok[3])
-    bounds = seq.boundary_set()
+    bounds = boundaries(seq)
     assert bounds == {3, 6}
     assert SegmentedText(corpus, bounds).type_counts.tolist() == [1, 2]
     assert (_fields(evaluate_boundaries(corpus, bounds))

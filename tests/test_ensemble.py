@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,8 @@ def test_out_of_range_rejected():
         majority_vote([{5}], set(), 5)
     with pytest.raises(ValueError):
         majority_vote([{0}], set(), 5)
+    with pytest.raises(ValueError, match="position 5 outside 1..4"):
+        majority_vote([{1, 2}, np.array([2, 5], np.int64)], set(), 5)
 
 
 def test_empty_input_list_rejected():
@@ -54,22 +58,42 @@ def test_exhaustive_patterns_k_up_to_5():
             assert got == expect, (k, pattern)
 
 
+def spell(s, how, rng):
+    """The boundary set ``s`` as a set, a sorted int64 array, or a list
+    that repeats some positions."""
+    if how == "array":
+        return np.array(sorted(s), np.int64)
+    if how == "list":
+        out = sorted(s) + [p for p in s if rng.random() < 0.5]
+        rng.shuffle(out)
+        return out
+    return set(s)
+
+
 @given(st.integers(0, 9999))
 @settings(max_examples=50, deadline=None)
 def test_vote_properties(seed):
     rng = random.Random(seed)
     n = rng.randint(3, 30)
     k = rng.randint(1, 5)
+    edges = {p for p in range(1, n) if rng.random() < 0.15}
     sets = [{p for p in range(1, n) if rng.random() < 0.4}
             for _ in range(k)]
-    out = majority_vote(sets, set(), n)
+    given_ = [spell(s, rng.choice(("set", "array", "list")), rng)
+              for s in sets]
+    out = majority_vote(given_, edges, n)
+    assert all(type(p) is int for p in out)  # JSON-dumpable
+    votes = Counter(p for s in sets for p in s)
+    assert out == frozenset({p for p, v in votes.items() if 2 * v > k}
+                            | edges)
     union = set().union(*sets)
-    inter = set(sets[0]).intersection(*sets[1:]) if sets else set()
-    assert out <= union
-    assert inter <= out
+    inter = set(sets[0]).intersection(*sets[1:])
+    assert out <= union | edges
+    assert inter | edges <= out
     # permutation invariance
-    shuffled = sets[:]
+    shuffled = given_[:]
     rng.shuffle(shuffled)
-    assert majority_vote(shuffled, set(), n) == out
-    # unanimous inputs are returned unchanged
-    assert majority_vote([sets[0]] * k, set(), n) == frozenset(sets[0])
+    assert majority_vote(shuffled, edges, n) == out
+    # unanimous inputs are returned unchanged, with the edges
+    assert (majority_vote([given_[0]] * k, edges, n)
+            == frozenset(sets[0]) | edges)

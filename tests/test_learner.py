@@ -15,7 +15,8 @@ from incseg.lexmodel import init_from_corpus
 
 from conftest import (benchmark_corpus, make_corpus, random_gold_text,
                       toy_text)
-from oracles import (apply_compression, count_occurrences, ngram_stats,
+from oracles import (apply_compression, boundaries, check_objective,
+                     count_occurrences, id_of, ngram_stats, score_of,
                      verify_sequence)
 
 
@@ -31,7 +32,7 @@ def ids(corpus, s):
 
 def table_m(state, t):
     """The greedy count the scorer uses: the index's only copy."""
-    return int(state.index.m[state.index.id_of(t)])
+    return int(state.index.m[id_of(state.index, t)])
 
 
 def live_tuples(state):
@@ -130,21 +131,15 @@ def test_literal_sign_flips_complexity_term():
 
 def test_score_candidate_abab():
     corpus, state = state_for("abab\n")
-    got = state.score_candidate(ids(corpus, "ab"))
+    got = score_of(state, ids(corpus, "ab"))
     assert got == pytest.approx(-5 * math.log(2), abs=1e-12)
-
-
-def test_score_candidate_unknown():
-    corpus, state = state_for("abab\n")
-    with pytest.raises(ValueError):
-        state.score_candidate(ids(corpus, "ba") + (99,))
 
 
 def test_score_candidate_type_bookkeeping():
     # unique components vanish: type count change = 1 - |components dying|
     corpus, state = state_for("xy\nxy\nz\n")
     x, y = ids(corpus, "xy")
-    delta = state.score_candidate((x, y))
+    delta = score_of(state, (x, y))
     seq = state.seq
     m, total, n = 2, seq.total, seq.n_chars
     nll_now = -2 * math.log(2 / total) * 2 - math.log(1 / total)
@@ -158,7 +153,7 @@ def delta_oracle(corpus, state, t):
     """Full-recompute change for compressing t, on a throwaway copy."""
     seq2, lex2 = init_from_corpus(corpus)
     # replay history
-    for tid in range(len(corpus.chars), len(state.lex)):
+    for tid in range(len(corpus.chars), len(state.lex.entries)):
         apply_compression(seq2, lex2, state.lex.entries[tid].components)
     before = penalized_likelihood(seq2, state.params,
                                   state.options.complexity_sign)
@@ -183,7 +178,7 @@ def test_incremental_delta_matches_oracle(seed):
         if not live:
             break
         t = rng.choice(live)
-        incremental = state.score_candidate(t)
+        incremental = score_of(state, t)
         assert incremental == pytest.approx(delta_oracle(corpus, state, t),
                                             abs=1e-9)
         ev = step(state)
@@ -200,7 +195,7 @@ def test_step_applies_minimizer_and_updates_objective():
     assert ev.token == ids(corpus, "ab")
     assert ev.occurrences == 2
     assert ev.delta == pytest.approx(-5 * math.log(2))
-    state.check_objective()
+    check_objective(state)
     assert step(state) is None  # merging the rest would not improve
 
 
@@ -237,7 +232,7 @@ def test_run_objective_strictly_decreasing():
         ev = step(state)
         if ev is None:
             break
-        state.check_objective()
+        check_objective(state)
         assert ev.delta < 0
         assert ev.objective < last
         last = ev.objective
@@ -297,7 +292,7 @@ def test_hypothesis_boundaries_match_final_tokens():
     corpus, _ = make_corpus("abab abab\n")
     result = run(corpus, PenaltyParams())
     seq = result.hypothesis.seq
-    assert result.hypothesis.boundaries == frozenset(seq.boundary_set())
+    assert result.hypothesis.boundaries == frozenset(boundaries(seq))
 
 
 def test_trace_records_every_interval():
@@ -363,9 +358,7 @@ def test_selected_candidate_is_global_minimum(seed):
         universe = set()
         for n in range(2, n_max + 1):
             universe.update(ngram_stats(state.seq, n).counts)
-        index = state.index
         assert live_tuples(state) == universe
-        assert all(index.tuple_of(index.id_of(t)) == t for t in universe)
         for t in universe:
             assert table_m(state, t) == count_occurrences(state.seq, t)
         floor = (min(oracle_delta_on_copy(state, t) for t in universe)
@@ -425,15 +418,16 @@ def test_step_takes_exact_tie_broken_minimum(seed, n_max):
     index = state.index
     while True:
         keyed = []
+        scores = state._scores()
         for i in range(index.size):
             t = index.tuple_of(i)
             if t is None:
+                assert scores[i] == math.inf, i
                 continue
-            score = state.score_candidate(t)
+            score, m = float(scores[i]), int(index.m[i])
             assert score == scalar_score(state, t), t
-            assert table_m(state, t) == count_occurrences(state.seq, t), t
-            keyed.append((score, -table_m(state, t), index.first_position(i),
-                          t))
+            assert m == count_occurrences(state.seq, t), t
+            keyed.append((score, -m, index.first_position(i), t))
         best = min(keyed, default=None)
         ev = step(state)
         if ev is None:
@@ -457,9 +451,9 @@ def test_exact_tie_on_benchmark_corpus_goes_to_first_position(tmp_path):
             for t in live_tuples(state)}
     early, late = live["yutitizewadawasukigoki"], live["kidasu6yuti"]
     for t, first in ((early, 25482), (late, 34639)):
-        assert state.score_candidate(t) == -2.260745752730145
+        assert score_of(state, t) == -2.260745752730145
         assert table_m(state, t) == 1
-        assert state.index.first_position(state.index.id_of(t)) == first
+        assert state.index.first_position(id_of(state.index, t)) == first
     ev = step(state)
     assert ev.iteration == 461 and ev.token == early
     assert lex.surface(ev.fresh_id) == "yutitizewadawasukigoki"

@@ -1,6 +1,5 @@
 """Token sequence bookkeeping: greedy counts, compression, n-gram stats."""
 
-import itertools
 import json
 import random
 
@@ -8,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incseg.ensemble import majority_vote
+from incseg.learner import LearnerOptions, PenaltyParams, init_state
 from incseg.lexmodel import CandidateIndex, init_from_corpus
+from incseg.search import load_boundaries, save_boundaries
 
 from conftest import make_corpus, random_gold_text
-from oracles import (_scan_sites, apply_compression, count_occurrences,
-                     expand, ngram_stats, verify_index, verify_sequence)
+from oracles import (_scan_sites, apply_compression, boundaries,
+                     count_occurrences, expand, id_of, ngram_stats,
+                     verify_index, verify_sequence)
 
 
 def seq_for(text, tmp_path=None):
@@ -136,9 +139,9 @@ def test_expand_composed_chain():
 def test_boundary_set_tracks_merges():
     corpus, seq, lex = seq_for("abab\ncd\n")
     a, b = ids(corpus, "ab")
-    assert seq.boundary_set() == {1, 2, 3, 4, 5}
+    assert boundaries(seq) == {1, 2, 3, 4, 5}
     apply_compression(seq, lex, (a, b))
-    assert seq.boundary_set() == {2, 4, 5}
+    assert boundaries(seq) == {2, 4, 5}
 
 
 def live_tuples(index):
@@ -158,7 +161,7 @@ def test_index_matches_scan_counts():
         for i in born:
             t = index.tuple_of(i)
             assert index.m[i] == count_occurrences(seq, t), (text, t)
-            assert index.id_of(t) == i
+            assert id_of(index, t) == i
         # every possible n-gram with an occurrence is indexed and counted
         universe = set()
         for n in range(2, n_max + 1):
@@ -184,7 +187,7 @@ def test_index_stays_exact_under_compressions():
             if not live:
                 break
             t = rng.choice(live)
-            index.apply(index.id_of(t), lex)
+            index.apply(id_of(index, t), lex)
             freed, born = index.consume_dirty()
             for u in freed:
                 assert index.tuple_of(u) is None and u not in born
@@ -217,7 +220,7 @@ def test_conservation_random(seed):
             live = sorted(live_tuples(index))
             if not live:
                 break
-            fresh = index.apply(index.id_of(rng.choice(live)), lex).fresh_id
+            fresh = index.apply(id_of(index, rng.choice(live)), lex).fresh_id
             # apply re-indexes only the n-grams the merge changed, so every
             # id it creates holds the fresh token
             for i in index.consume_dirty()[1]:
@@ -227,42 +230,24 @@ def test_conservation_random(seed):
                        for t, c in enumerate(seq.counts)) == n
 
 
-def test_id_of_matches_columns():
-    rng = random.Random(3)
-    for n_max in (2, 3, 4):
-        text = random_gold_text(rng, 80, 3)
-        corpus, seq, lex = seq_for(text)
-        index = CandidateIndex(seq, n_max)
-        seen = {index.tuple_of(i) for i in index.consume_dirty()[1]}
-        for _ in range(4):
-            index.apply(index.id_of(min(live_tuples(index))), lex)
-            seen |= {index.tuple_of(i) for i in index.consume_dirty()[1]}
-        live = [i for i in range(index.size) if index.order[i]]
-        assert live and all(index.id_of(index.tuple_of(i)) == i for i in live)
-        known = {index.tuple_of(i) for i in live}
-        # a freed id keeps its old tokens in ``comp``; it must not match
-        assert seen - known
-        assert all(index.id_of(t) is None for t in seen - known)
-        for n in index.orders:
-            absent = next(t for t in itertools.product(range(len(lex)),
-                                                       repeat=n)
-                          if t not in known)
-            assert index.id_of(absent) is None, absent
-        assert index.id_of((0,)) is None
-        assert index.id_of((index.tuple_of(live[0]) * n_max)[:n_max + 1]) \
-            is None
-
-
 @pytest.mark.parametrize("text, merged", [("aaaa\nab\n", "aa"),
                                           ("abab abab\nba\n", "ab")])
-def test_blocks_and_boundaries_are_json_ints(text, merged):
-    corpus, seq, lex = seq_for(text)
-    index = CandidateIndex(seq, 3)
-    index.apply(index.id_of(ids(corpus, merged)), lex)
-    blocks = seq.to_blocks()
+def test_blocks_and_boundaries_are_json_ints(text, merged, tmp_path):
+    # the benchmark JSON-dumps the blocks, the boundaries and the vote
+    corpus, _ = make_corpus(text)
+    state = init_state(corpus, PenaltyParams(), LearnerOptions(n_max=3))
+    state.index.apply(id_of(state.index, ids(corpus, merged)), state.lex)
+    blocks = state.seq.to_blocks()
     assert json.loads(json.dumps(blocks)) == blocks
-    bounds = sorted(seq.boundary_set())
+    bounds = sorted(state.hypothesis().boundaries)
+    assert bounds == sorted(boundaries(state.seq))
     assert json.loads(json.dumps(bounds)) == bounds
+    _, rel = save_boundaries(bounds, tmp_path)
+    arr = load_boundaries(tmp_path / rel)
+    voted = sorted(majority_vote([arr, arr], corpus.block_edges(),
+                                 corpus.n_chars))
+    assert voted == bounds
+    assert json.loads(json.dumps(voted)) == voted
 
 
 # runs of one or two letters, so that many n-grams overlap themselves
@@ -307,11 +292,11 @@ def test_settle_recounts_interleaved_self_overlaps_in_one_batch():
         return greedy(n, ids)
 
     index._greedy = spy
-    index.apply(index.id_of(ids(corpus, "abc")), lex)
+    index.apply(id_of(index, ids(corpus, "abc")), lex)
     aba, bab, aaa, aa = (ids(corpus, s) for s in ("aba", "bab", "aaa", "aa"))
     quads = {ids(corpus, s) for s in ("aaaa", "abaa", "abab", "baab", "baba")}
     # one recount per order after the merge's own site search
     assert batches[1:] == [(2, {aa}), (3, {aaa, aba, bab}), (4, quads)]
     for t, m in ((aba, 4), (bab, 4), (aaa, 2), (aa, 4)):
-        assert index.m[index.id_of(t)] == count_occurrences(seq, t) == m, t
+        assert index.m[id_of(index, t)] == count_occurrences(seq, t) == m, t
     verify_index(index)

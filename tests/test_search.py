@@ -1,6 +1,7 @@
 """Grid execution, resumable ledger, selection, heat maps, staged search."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -150,6 +151,71 @@ def test_resume_over_another_corpus_is_refused(toy, tmp_path, monkeypatch):
         staged_search(other, other_gold, "mdl2", (0.0,), (0.0,), out,
                       beta0=0.0)
     assert {f: (out / f).read_bytes() for f in before} == before
+
+
+# how a resume changes each identity field of a grid run with BASE_OPTIONS
+BASE_OPTIONS = LearnerOptions(stop_at=5)
+RESUME_CHANGES = {
+    "n_max": {"options": replace(BASE_OPTIONS, n_max=3)},
+    "stop_at": {"options": replace(BASE_OPTIONS, stop_at=50)},
+    "trace_interval": {"options": replace(BASE_OPTIONS, trace_interval=7)},
+    "trace_mode": {"trace": True},
+    "trace_boundaries": {
+        "options": replace(BASE_OPTIONS, trace_boundaries=True)},
+    "complexity_sign": {
+        "options": replace(BASE_OPTIONS, complexity_sign=-1)},
+    "literal_stop": {"options": replace(BASE_OPTIONS, literal_stop=True)},
+    "gold": {"gold": None},
+    "corpus_sha256": {"corpus": make_corpus(toy_text(80, seed=3))[0]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(RESUME_CHANGES))
+def test_resume_that_changes_an_identity_field_is_refused(
+        field, toy, tmp_path, monkeypatch):
+    import incseg.search as search_mod
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    run_grid(corpus, gold, GridSpec((0.0,), (0.0,), ("xlogx",)), out,
+             BASE_OPTIONS)
+    before = {f: (out / f).read_bytes() for f in ("runs.jsonl",
+                                                   "identity.json")}
+    args = {"corpus": corpus, "gold": gold, "options": BASE_OPTIONS,
+            **RESUME_CHANGES[field]}
+    monkeypatch.setattr(search_mod, "_run_cell", None)  # no cell may run
+    with pytest.raises(ValueError, match=rf"runs\.jsonl holds runs with "
+                                         rf"{field} ") as exc:
+        run_grid(args["corpus"], args["gold"],
+                 GridSpec((0.0, 0.4), (0.0,), ("xlogx",)), out,
+                 args["options"], trace=args.get("trace", False))
+    assert "\n" not in str(exc.value)
+    assert {f: (out / f).read_bytes() for f in before} == before
+
+
+def test_partial_identity_adopts_the_missing_fields(toy, tmp_path):
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    spec = GridSpec((0.0,), (0.0,), ("xlogx",))
+    first = run_grid(corpus, gold, spec, out, BASE_OPTIONS)
+    kept = out / "identity.json"
+    identity = json.loads(kept.read_text())
+    assert set(identity) == set(RESUME_CHANGES)
+    ledger = (out / "runs.jsonl").read_bytes()
+    # an identity from before the options were recorded
+    old = {f: identity[f] for f in ("n_max", "corpus_sha256")}
+    kept.write_text(json.dumps(old))
+    assert run_grid(corpus, gold, spec, out, BASE_OPTIONS) == first
+    assert (out / "runs.jsonl").read_bytes() == ledger
+    assert json.loads(kept.read_text()) == identity
+    # the adopted fields bind later resumes
+    with pytest.raises(ValueError, match="stop_at 5, not 50"):
+        run_grid(corpus, gold, spec, out, replace(BASE_OPTIONS, stop_at=50))
+    # a field the old identity holds must still match
+    kept.write_text(json.dumps(old))
+    with pytest.raises(ValueError, match="n_max 2, not 3"):
+        run_grid(corpus, gold, spec, out, replace(BASE_OPTIONS, n_max=3))
+    assert json.loads(kept.read_text()) == old
+    assert (out / "runs.jsonl").read_bytes() == ledger
 
 
 def test_ledger_without_identity_adopts_one(toy, tmp_path):
@@ -426,7 +492,7 @@ def test_staged_degenerate_single_point(toy, tmp_path):
 def test_boundary_file_roundtrip(tmp_path):
     bounds = {3, 10, 11, 500}
     digest, rel = save_boundaries(bounds, tmp_path)
-    assert load_boundaries(tmp_path / rel) == frozenset(bounds)
+    assert load_boundaries(tmp_path / rel).tolist() == sorted(bounds)
     digest2, rel2 = save_boundaries(bounds, tmp_path)
     assert digest == digest2 and rel == rel2
 
@@ -444,7 +510,7 @@ def test_boundary_file_never_left_half_written(tmp_path, monkeypatch):
             save_boundaries({3, 10}, tmp_path)
     assert list(tmp_path.iterdir()) == []  # no final name, no leftover
     digest, rel = save_boundaries({3, 10}, tmp_path)
-    assert load_boundaries(tmp_path / rel) == frozenset({3, 10})
+    assert load_boundaries(tmp_path / rel).tolist() == [3, 10]
 
 
 def test_ledger_roundtrip(toy, tmp_path):
@@ -476,11 +542,10 @@ def test_failed_cell_recorded_and_retried(toy, tmp_path, monkeypatch):
     out = tmp_path / "g"
     real = search_mod._execute_cell
 
-    def flaky(corpus_, gold_, options, out_dir, trace, kind, alpha, beta):
+    def flaky(corpus_, gold_, options, out_dir, kind, alpha, beta):
         if alpha == 0.4 and beta == 0.0:
             raise RuntimeError("injected failure")
-        return real(corpus_, gold_, options, out_dir, trace, kind, alpha,
-                    beta)
+        return real(corpus_, gold_, options, out_dir, kind, alpha, beta)
 
     monkeypatch.setattr(search_mod, "_execute_cell", flaky)
     records = run_grid(corpus, gold, small_grid_spec(), out)
