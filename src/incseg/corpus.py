@@ -28,7 +28,10 @@ def distinct(v: np.ndarray) -> np.ndarray:
     """Sorted distinct values of ``v``, by a sort and a neighbour mask
     (numpy's value-only ``unique`` takes a slower hash path)."""
     v = np.sort(v)
-    return v[np.diff(v, prepend=v[:1] - 1) > 0]
+    keep = np.empty(len(v), bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
 
 
 @dataclass

@@ -7,10 +7,9 @@ compression would cause to
 
 and applies the minimizer while it is negative.  Candidates are the
 candidate index's n-gram ids.  One vectorized function scores them all
-each iteration, with ``x ln x`` read from a table built by the scalar
-formula's own expression, so every score is the same float whichever path
-asks for it and exact ties fall to the largest count, then the first
-position.
+each iteration, with ``x ln x`` read from a table that equals the scalar
+formula bit for bit, so every score is the same float whichever path asks
+for it and exact ties fall to the largest count, then the first position.
 """
 
 from __future__ import annotations
@@ -125,11 +124,15 @@ class RunResult:
 
 @functools.lru_cache(maxsize=2)
 def _cost_table(kind: str, n_chars: int) -> np.ndarray:
-    """``length_cost(kind)`` (0 at 0) for every x up to ``n_chars``; shared
-    read-only by the runs over one corpus.  The ``xlogx`` table also gives
-    x ln x for every count, total and m a run can reach."""
-    g = map(length_cost(kind), range(1, n_chars + 1))
-    table = np.fromiter(chain((0.0,), g), np.float64, n_chars + 1)
+    """``length_cost(kind)`` (0 at 0), bit for bit, for each x up to
+    ``n_chars``: ln x, or x, times x with one rounding, x made in slices so
+    that no second full-size array is held.  Shared read-only by the runs
+    over one corpus; it covers every count, total and m a run can reach."""
+    table = (np.fromiter(chain((0.0,), map(log, range(1, n_chars + 1))),
+                         np.float64, n_chars + 1) if kind == "xlogx"
+             else np.arange(n_chars + 1, dtype=np.float64))
+    for lo in range(0, n_chars + 1, 4096):
+        table[lo:lo + 4096] *= np.arange(lo, min(lo + 4096, n_chars + 1))
     table.flags.writeable = False
     return table
 
@@ -160,7 +163,7 @@ class LearnerState:
     The index owns the candidate table's columns: tokens, multiplicities,
     length and greedy count ``m``; a free id has m 0 and scores inf.  The
     state adds the one column that depends on the penalty kind, each id's
-    beta length term ``_gl``, filled when the id is born.
+    beta length term ``_gl``, filled at birth and only while beta > 0.
     """
 
     def __init__(self, seq: TokenSequence, lex: Lexicon,
@@ -177,13 +180,17 @@ class LearnerState:
         self._sign = self.options.complexity_sign
         self.objective = penalized_likelihood(seq, params, self._sign)
         self._xlx = _cost_table("xlogx", seq.n_chars)
-        self._g = _cost_table(params.kind, seq.n_chars)
+        self._g = (_cost_table(params.kind, seq.n_chars) if params.beta
+                   else None)
         self._gl = np.zeros(0, np.float64)
-        self._sync(self.index.consume_dirty()[1])
+        self._sync()
 
-    def _sync(self, born: Sequence[int]) -> None:
-        """Fill the beta length term g(whole) - (g(l0) + g(l1) + ...) of
-        the ids born since the last flush, summed in token order."""
+    def _sync(self) -> None:
+        """Flush the index's births; if beta > 0, fill their beta length
+        term g(whole) - (g(l0) + g(l1) + ...), summed in token order."""
+        born = self.index.consume_dirty()[1]
+        if not self.params.beta:
+            return
         index = self.index
         if len(self._gl) < len(index.m):
             self._gl = np.pad(self._gl, (0, len(index.m) - len(self._gl)))
@@ -250,7 +257,7 @@ class LearnerState:
         cd = self.index.apply(i, self.lex)
         self.objective += delta
         self.iteration += 1
-        self._sync(self.index.consume_dirty()[1])
+        self._sync()
         return CompressionEvent(self.iteration, t, cd.fresh_id,
                                 cd.occurrences, delta, self.objective)
 

@@ -6,6 +6,7 @@ compression consumes exactly the occurrences that were counted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -14,6 +15,14 @@ import numpy as np
 from .corpus import RawCorpus, distinct
 
 TokenTuple = tuple[int, ...]
+
+
+@functools.cache
+def _slots(n: int) -> tuple[np.ndarray, ...]:
+    """Slots 0..n-1 as a column, and the slot pairs (a + d, a) by shift
+    d < n, a < n - d, with where each shift's pairs start."""
+    d, a = np.array([(d, a) for d in range(1, n) for a in range(n - d)]).T
+    return np.arange(n)[:, None], a + d, a, np.flatnonzero(a == 0)
 
 
 @dataclass
@@ -145,9 +154,7 @@ class CandidateIndex:
         self.order = np.zeros(1024, np.int64)
         self.comp = np.zeros((n_max, 1024), np.int64)
         self.mult = np.zeros((n_max, 1024), np.int64)
-        self._free: list[int] = []
-        self._freed: list[int] = []
-        self._born: list[int] = []
+        self._free = self._freed = self._born = np.zeros(0, np.int64)
         live = np.flatnonzero(seq.tok >= 0)
         self._settle(self._register([live] * len(self.orders)))
 
@@ -156,32 +163,33 @@ class CandidateIndex:
         an int64, a bigram's first token standing for the prefix id.  No
         live n-gram has one of these keys, so each takes a free id, last
         freed first, then an unused one, and gets its columns."""
-        if not len(keys):  # [-0:] below would take every free id
+        if not len(keys):  # spare the fixed cost below
             return keys
-        reused = self._free[-len(keys):][::-1]
-        del self._free[-len(keys):]
-        top = self.size + len(keys) - len(reused)
-        born = np.array(reused + list(range(self.size, top)), np.int64)
-        self.size = top
+        free = self._free
+        kept = max(len(free) - len(keys), 0)  # free ids left over
+        top = self.size + len(keys) - (len(free) - kept)
+        born = np.concatenate((free[kept:][::-1], np.arange(self.size, top)))
+        self._free, self.size = free[:kept], top
         grow = (1 << (top - 1).bit_length()) - len(self.m)
         if grow > 0:  # every column alike, to a power-of-2 capacity
             for name in ("m", "_overlaps", "order", "comp", "mult"):
                 col = getattr(self, name)
                 setattr(self, name, np.pad(
                     col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
-        t = np.zeros((self.n_max, len(keys)), np.int64)
+        cols = np.zeros((2, self.n_max, len(keys)), np.int64)  # comp, mult
+        t = cols[0]
         t[:n - 1] = keys >> 32 if n == 2 else self.comp[:n - 1, keys >> 32]
         t[n - 1] = keys & 0xFFFFFFFF
         eq = t[:n, None] == t[:n]               # eq[a, b]: slot a == slot b
-        mult = np.zeros_like(t)
+        slots, shifted, slot, first = _slots(n)
         # a token's count goes to the first slot that holds it
-        mult[:n] = eq.sum(1) * (eq.argmax(1) == np.arange(n)[:, None])
-        self.comp[:, born] = t
-        self.mult[:, born] = mult
+        cols[1, :n] = np.add.reduce(eq, 1) * (eq.argmax(1) == slots)
+        self.comp[:, born], self.mult[:, born] = cols
         self.order[born] = n
-        self._overlaps[born] = np.any(
-            [np.diagonal(eq, -d).all(1) for d in range(1, n)], 0)
-        self._born += born.tolist()
+        # self-overlap: for some shift d, slot a + d == slot a for every a
+        self._overlaps[born] = np.logical_or.reduce(
+            np.logical_and.reduceat(eq[shifted, slot], first), 0)
+        self._born = np.concatenate((self._born, born))
         return born
 
     def _register(self, reach: list[np.ndarray]) -> list[np.ndarray]:
@@ -240,7 +248,7 @@ class CandidateIndex:
             end = self.seq.nxt[end]
         clash = (who[1:] == who[:-1]) & (pos[1:] <= end[:-1])
         clash = np.flatnonzero(clash) + 1  # rows overlapping the row before
-        drop, last = [], -1
+        keep, last = np.ones(len(pos), bool), -1
         for r, p, e, before in zip(clash.tolist(), pos[clash].tolist(),
                                    end[clash].tolist(),
                                    end[clash - 1].tolist()):
@@ -249,9 +257,9 @@ class CandidateIndex:
             if p > frontier:
                 frontier = e
             else:
-                drop.append(r)
+                keep[r] = False
             last = r
-        return np.delete(pos, drop), np.delete(who, drop)
+        return pos[keep], who[keep]
 
     def _sites(self, i: int) -> np.ndarray:
         """The greedy occurrences of n-gram ``i``, taken left to right, one
@@ -273,8 +281,8 @@ class CandidateIndex:
             np.add.at(self.m, self._greedy(n, mine)[1], 1)
         dead = ids[self.m[ids] == 0]
         self.order[dead] = 0
-        self._free += dead.tolist()
-        self._freed += dead.tolist()
+        self._free = np.concatenate((self._free, dead))
+        self._freed = np.concatenate((self._freed, dead))
 
     def tuple_of(self, i: int) -> TokenTuple | None:
         """The n-gram of id ``i``, or None while ``i`` is free."""
@@ -307,9 +315,9 @@ class CandidateIndex:
                                            for p in reach]))
         return CompressionDelta(fresh, len(sites))
 
-    def consume_dirty(self) -> tuple[list[int], list[int]]:
-        """(ids freed, ids born) since the last call; ``apply`` frees only
-        after all its births, so no id is in both after a single apply."""
+    def consume_dirty(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 arrays of the ids freed and born since the last call; no id
+        is in both after a single apply, which frees after all its births."""
         out = self._freed, self._born
-        self._freed, self._born = [], []
+        self._freed = self._born = np.zeros(0, np.int64)
         return out

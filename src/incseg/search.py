@@ -247,6 +247,8 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
     refused.  An identity written before some field existed adopts that
     field on its first resume, and a ledger from before the file adopts a
     whole one, once its rows pass the ``n_max`` check."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the options every cell runs with: a criteria trace, or none

@@ -448,6 +448,10 @@ def test_punct_set_alone_splits_blocks_in_every_command(tmp_path, capsys):
     (["segment", "--stop-at", "-5"], "stop_at must be >= 0, got -5"),
     (["grid", "--nmax", "1", "--alpha", "0", "--beta", "0"],
      "n_max must be in 2..4, got 1"),
+    (["grid", "--jobs", "0", "--alpha", "0", "--beta", "0"],
+     "jobs must be at least 1, got 0"),
+    (["staged", "--jobs", "-3", "--alpha", "0", "--beta", "0",
+      "--criterion", "mdl2"], "jobs must be at least 1, got -3"),
 ])
 def test_bad_learner_option_is_one_line_error(corpus_file, tmp_path, capsys,
                                               argv, message):

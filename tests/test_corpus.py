@@ -3,12 +3,13 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from incseg.corpus import (CorpusError, default_punctuation, load_gold,
-                           write_segmentation)
+from incseg.corpus import (CorpusError, default_punctuation, distinct,
+                           load_gold, write_segmentation)
 
 from conftest import make_corpus
 from oracles import reference_parse, reference_render
@@ -244,3 +245,15 @@ def test_one_pass_parse_matches_two_pass_reference(text, punct):
     for cuts in (gold.boundaries, (), range(-1, len(stream) + 2)):
         assert corpus.render(cuts) == reference_render(blocks, seps,
                                                        set(cuts))
+
+
+@given(st.lists(st.integers(-3, 3) | st.integers(-2**62, 2**62),
+                max_size=40))
+@example([])
+@example([5])
+def test_distinct_is_unique(values):
+    v = np.array(values, np.int64)
+    got = distinct(v)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.unique(v).tolist()
+    assert v.tolist() == values  # the input is left alone

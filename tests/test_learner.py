@@ -4,13 +4,14 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incseg.learner import (LearnerOptions, PenaltyParams, init_state,
-                            length_cost, penalized_likelihood, penalty, run,
-                            step)
+from incseg.learner import (PENALTY_KINDS, LearnerOptions, PenaltyParams,
+                            _cost_table, init_state, length_cost,
+                            penalized_likelihood, penalty, run, step)
 from incseg.lexmodel import init_from_corpus
 
 from conftest import (benchmark_corpus, make_corpus, random_gold_text,
@@ -406,13 +407,14 @@ def scalar_score(state, t):
 def test_step_takes_exact_tie_broken_minimum(seed, n_max):
     """At every step the applied candidate is the exact minimum of
     (score, -m, first position, tuple) over all live candidates, and every
-    score equals the scalar reference bit for bit."""
+    score equals the scalar reference bit for bit, beta = 0 included, in a
+    third of the examples, where the state skips the beta column."""
     rng = random.Random(seed)
     text = random_gold_text(rng, rng.randint(30, 160), rng.randint(2, 5),
                             n_types=rng.randint(3, 12))
     corpus, _ = make_corpus(text)
-    params = PenaltyParams(round(rng.uniform(0, 0.4), 2),
-                           round(rng.uniform(0, 0.4), 2),
+    alpha, beta = (round(rng.uniform(0, 0.4), 2) for _ in range(2))
+    params = PenaltyParams(alpha, 0.0 if seed % 3 == 0 else beta,
                            rng.choice(("xlogx", "xsquared")))
     state = init_state(corpus, params, LearnerOptions(n_max=n_max))
     index = state.index
@@ -435,6 +437,27 @@ def test_step_takes_exact_tie_broken_minimum(seed, n_max):
             break
         assert (ev.delta, -ev.occurrences, ev.token) == (
             best[0], best[1], best[3])
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_beta_zero_state_never_fills_the_beta_column(kind):
+    params = PenaltyParams(0.1, 0.0, kind)
+    _, state = state_for(toy_text(40, seed=4), params, LearnerOptions(n_max=3))
+    while step(state) is not None:
+        # each merge still flushes the index's births and frees
+        assert len(state.index.consume_dirty()[1]) == 0
+    assert state.iteration > 10
+    assert state._g is None and len(state._gl) == 0
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_cost_table_is_length_cost_bit_for_bit(kind):
+    """At the edges of the 4,096-entry slices and at the 78k corpus's
+    size, every entry is the float the scalar formula gives."""
+    g = length_cost(kind)
+    for n in (1, 4095, 4096, 4097, 8193, 77_598):
+        want = np.array([0.0, *map(g, range(1, n + 1))])
+        assert _cost_table(kind, n).tobytes() == want.tobytes(), n
 
 
 def test_exact_tie_on_benchmark_corpus_goes_to_first_position(tmp_path):

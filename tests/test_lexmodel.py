@@ -157,7 +157,7 @@ def test_index_matches_scan_counts():
         n_max = rng.randint(2, 4)
         index = CandidateIndex(seq, n_max)
         freed, born = index.consume_dirty()
-        assert freed == []
+        assert len(freed) == 0
         for i in born:
             t = index.tuple_of(i)
             assert index.m[i] == count_occurrences(seq, t), (text, t)

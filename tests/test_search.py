@@ -60,6 +60,17 @@ def test_staged_search_checks_range_before_running(toy, tmp_path):
     assert not (tmp_path / "st").exists()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_refused_before_any_output(toy, tmp_path, jobs):
+    corpus, gold = toy
+    with pytest.raises(ValueError, match=f"at least 1, got {jobs}"):
+        run_grid(corpus, gold, small_grid_spec(), tmp_path / "g", jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        staged_search(corpus, gold, "mdl2", (0.0,), (0.0,), tmp_path / "st",
+                      jobs=jobs)
+    assert not (tmp_path / "g").exists() and not (tmp_path / "st").exists()
+
+
 def test_grid_cell_count():
     spec = GridSpec(parse_range("0:5:0.1"), parse_range("0:5:0.1"),
                     ("xlogx",))
