@@ -197,34 +197,38 @@ def _cmd_select(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ensemble(ns: argparse.Namespace) -> int:
-    punct = _hard_punct(ns.punct_set, False)
-    loaded = [load_gold(p, ns.format, hard_punct=punct) for p in ns.inputs]
-    base_corpus, _ = loaded[0]
-    stream = base_corpus.char_string()
-    edges = base_corpus.block_edges()
-    sets = []
-    for path, (corpus, gold) in zip(ns.inputs, loaded):
-        if corpus.char_string() != stream or corpus.block_edges() != edges:
+def _load_aligned(paths: list[str], fmt: str, punct):
+    """The first file's corpus and each file's boundaries, every file cut
+    with the first file's hard punctuation.  A file whose characters or
+    block edges differ from the first file's is refused."""
+    base, gold = load_gold(paths[0], fmt, hard_punct=punct)
+    if callable(punct):  # --punct-hard: the first file's P* characters
+        punct = punct("".join(base.chars))
+    golds, want = [gold], (base.char_string(), base.block_edges())
+    for path in paths[1:]:
+        corpus, gold = load_gold(path, fmt, hard_punct=punct)
+        if (corpus.char_string(), corpus.block_edges()) != want:
             raise RuntimeError(
-                f"{path}: character stream differs from {ns.inputs[0]}")
-        sets.append(gold.boundaries)
-    voted = _ensemble.majority_vote(sets, edges, base_corpus.n_chars)
-    write_segmentation(voted, base_corpus, ns.out)
-    _write_manifest(Path(ns.out), ns, base_corpus)
-    print(f"voted {len(sets)} inputs -> {len(voted)} boundaries")
+                f"{path}: characters or lines differ from {paths[0]}")
+        golds.append(gold)
+    return base, golds
+
+
+def _cmd_ensemble(ns: argparse.Namespace) -> int:
+    base, golds = _load_aligned(ns.inputs, ns.format,
+                                _hard_punct(ns.punct_set, False))
+    voted = _ensemble.majority_vote([g.boundaries for g in golds],
+                                    base.block_edges(), base.n_chars)
+    write_segmentation(voted, base, ns.out)
+    _write_manifest(Path(ns.out), ns, base)
+    print(f"voted {len(golds)} inputs -> {len(voted)} boundaries")
     return 0
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    punct = _hard_punct(ns.punct_set, ns.punct_hard)
-    gold_corpus, gold = load_gold(ns.gold, ns.format, hard_punct=punct)
-    if punct is default_punctuation:  # the gold file's P* cuts both files
-        punct = default_punctuation("".join(gold_corpus.chars))
-    hyp_corpus, hyp = load_gold(ns.hyp, ns.format, hard_punct=punct)
-    if hyp_corpus.char_string() != gold_corpus.char_string():
-        raise RuntimeError("hypothesis and gold character streams differ")
-    report = _metrics.evaluate_segmentation(gold_corpus, gold, hyp.boundaries)
+    corpus, (gold, hyp) = _load_aligned(
+        [ns.gold, ns.hyp], ns.format, _hard_punct(ns.punct_set, ns.punct_hard))
+    report = _metrics.evaluate_segmentation(corpus, gold, hyp.boundaries)
     if ns.report == "json":
         print(json.dumps(report.as_dict(), indent=1))
     else:
@@ -296,6 +300,8 @@ def _config_defaults(parser: argparse.ArgumentParser,
         parser.error("--config needs a file path")
     try:
         cfg = _read_config(ns.config)
+    except UnicodeDecodeError as e:
+        parser.error(f"{ns.config}: invalid UTF-8: {e.reason}")
     except (CorpusError, OSError) as e:
         parser.error(str(e))
     actions = {a.dest: a for a in command._actions

@@ -30,12 +30,14 @@ from .learner import LearnerOptions, PenaltyParams
 
 def parse_range(spec: str) -> tuple[float, ...]:
     """'lo:hi:step' (inclusive endpoints) or a single value."""
-    parts = spec.split(":")
-    if len(parts) == 1:
-        return (round(float(parts[0]), 10),)
-    if len(parts) != 3:
+    values = [float(p) for p in spec.split(":")]
+    if not np.isfinite(values).all():
+        raise ValueError(f"range values must be finite, got {spec!r}")
+    if len(values) == 1:
+        return (round(values[0], 10),)
+    if len(values) != 3:
         raise ValueError(f"range must be lo:hi:step, got {spec!r}")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = values
     if step <= 0:
         raise ValueError("step must be > 0")
     if lo > hi:
@@ -57,8 +59,9 @@ class GridSpec:
             PenaltyParams(alpha, beta, kind)
 
     def cells(self) -> list[tuple[str, float, float]]:
-        return [(k, a, b) for k in self.kinds for a in self.alphas
-                for b in self.betas]
+        """Each (kind, alpha, beta) once, in first-seen order."""
+        return list(dict.fromkeys((k, a, b) for k in self.kinds
+                                  for a in self.alphas for b in self.betas))
 
 
 @dataclass
@@ -188,9 +191,7 @@ def load_ledger(out_dir: Path) -> list[RunRecord]:
     for i, line in enumerate(lines, 1):
         try:
             if line.strip():
-                row = json.loads(line)
-                row.pop("stage", None)  # an always-null field of old ledgers
-                records.append(RunRecord(**row))
+                records.append(RunRecord(**json.loads(line)))
         except (ValueError, TypeError, AttributeError) as e:
             raise ValueError(f"{path}:{i}: bad ledger line: {e}") from None
     return records
@@ -240,13 +241,11 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
              jobs: int = 1, trace: bool = False,
              resume: bool = True) -> list[RunRecord]:
     """One learner run per (penalty kind, alpha, beta) into a ledger that a
-    later call resumes, unless ``resume=False`` empties it first.
+    later call resumes, unless ``resume=False`` deletes it first.
 
-    Before the first cell, ``identity.json`` records the grid's
-    ``_grid_identity``; a resume that differs in a field it holds is
-    refused.  An identity written before some field existed adopts that
-    field on its first resume, and a ledger from before the file adopts a
-    whole one, once its rows pass the ``n_max`` check."""
+    While ``runs.jsonl`` exists, ``identity.json`` must hold the grid's
+    ``_grid_identity`` in every field; otherwise the call is refused
+    before any cell runs.  With no ledger, the identity is written."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
@@ -256,22 +255,21 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
                       trace_mode="criteria" if trace else "none")
     ledger_path, kept = out / "runs.jsonl", out / "identity.json"
     identity = _grid_identity(corpus, gold, options)
-    old = (json.loads(kept.read_text(encoding="utf-8"))
-           if resume and kept.exists() else {})
-    for field, value in identity.items():
-        if old.get(field, value) != value:
-            raise ValueError(
-                f"{ledger_path} holds runs with {field} {old[field]}, "
-                f"not {value}; start over in a new directory")
-    # loading also cuts a torn tail before appending
-    done = {rec.key(): rec for rec in load_ledger(out)} if resume else {}
-    for rec in done.values():
-        if rec.n_max != options.n_max:
-            raise ValueError(
-                f"{ledger_path} holds runs with n_max {rec.n_max}, "
-                f"not {options.n_max}; start over in a new directory")
-    if old != identity:
+    if not resume:
+        ledger_path.unlink(missing_ok=True)
+    if ledger_path.exists():
+        old = (json.loads(kept.read_text(encoding="utf-8"))
+               if kept.exists() else {})
+        for field, value in identity.items():
+            held = old[field] if field in old else "unrecorded"
+            if held != value:
+                raise ValueError(
+                    f"{ledger_path} holds runs with {field} {held}, "
+                    f"not {value}; start over in a new directory")
+    else:
         _publish(kept, lambda fh: fh.write(json.dumps(identity).encode()))
+    # loading also cuts a torn tail before appending
+    done = {rec.key(): rec for rec in load_ledger(out)}
     todo = [c for c in spec.cells() if c not in done]
 
     def _record(row: dict) -> None:
@@ -284,7 +282,7 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
         done[(row["penalty"], row["alpha"], row["beta"])] = RunRecord(**row)
 
     work = (corpus, gold, options, out)
-    ledger = ledger_path.open("a" if resume else "w", encoding="utf-8")
+    ledger = ledger_path.open("a", encoding="utf-8")
     try:
         if jobs <= 1 or len(todo) <= 1:
             for cell in todo:
@@ -398,5 +396,4 @@ def staged_search(corpus: RawCorpus, gold: GoldSegmentation | None,
                       GridSpec((best_alpha,), tuple(betas), (kind,)),
                       out_dir, options=options, jobs=jobs)
     final = select_family_minimum(stage2, criterion)
-    ran = {r.key() for r in stage1}
-    return final, stage1 + [r for r in stage2 if r.key() not in ran]
+    return final, list({r.key(): r for r in stage1 + stage2}.values())

@@ -61,6 +61,21 @@ def test_eval_mismatched_streams_errors(corpus_file, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "ensemble"])
+@pytest.mark.parametrize("hyp", ["ab cdef gh\n", "abc\ndefgh\n"])
+def test_misaligned_lines_are_one_line_error(tmp_path, capsys, command, hyp):
+    gold, seg = tmp_path / "gold.txt", tmp_path / "hyp.txt"
+    gold.write_text("ab cd\nef gh\n", encoding="utf-8")
+    seg.write_text(hyp, encoding="utf-8")
+    argv = {"eval": ["--gold", str(gold), "--hyp", str(seg)],
+            "ensemble": ["--inputs", str(gold), str(seg),
+                         "--out", str(tmp_path / "v.txt")]}[command]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(seg) in err[0], err
+    assert not (tmp_path / "v.txt").exists()
+
+
 def test_unknown_flag_exits_2(corpus_file):
     with pytest.raises(SystemExit) as exc:
         main(["segment", str(corpus_file), "--frobnicate"])
@@ -171,6 +186,26 @@ def test_config_file_defaults(corpus_file, tmp_path):
     assert manifest["flags"]["alpha"] == 0.2   # from config
     assert manifest["flags"]["beta"] == 0.1    # flag wins over config
     assert manifest["flags"]["stop_at"] == 3
+
+
+def test_config_file_not_utf8_exits_2(corpus_file, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"alpha = \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["segment", str(corpus_file), f"--config={cfg}",
+              "--out", str(tmp_path / "s.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(cfg) in err[0], err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_grid_penalty_given_twice_runs_once(corpus_file, tmp_path, capsys):
+    grid = tmp_path / "grid"
+    assert main(["grid", str(corpus_file), "--alpha", "0", "--beta", "0",
+                 "--penalty", "x2", "xsquared", "--out", str(grid)]) == 0
+    assert "1/1 grid cells complete" in capsys.readouterr().out
+    assert len((grid / "runs.jsonl").read_text().splitlines()) == 1
 
 
 def test_segment_trace_output(corpus_file, tmp_path):
@@ -452,6 +487,10 @@ def test_punct_set_alone_splits_blocks_in_every_command(tmp_path, capsys):
      "jobs must be at least 1, got 0"),
     (["staged", "--jobs", "-3", "--alpha", "0", "--beta", "0",
       "--criterion", "mdl2"], "jobs must be at least 1, got -3"),
+    (["grid", "--alpha", "0:inf:1", "--beta", "0"],
+     "range values must be finite, got '0:inf:1'"),
+    (["staged", "--alpha", "0:1:nan", "--beta", "0"],
+     "range values must be finite, got '0:1:nan'"),
 ])
 def test_bad_learner_option_is_one_line_error(corpus_file, tmp_path, capsys,
                                               argv, message):

@@ -36,6 +36,9 @@ def test_parse_range():
         parse_range("0:1:0")
     with pytest.raises(ValueError):
         parse_range("0:1")
+    for spec in ("0:inf:1", "0:1:nan", "-inf:0:1", "inf"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_range(spec)
 
 
 @pytest.mark.parametrize("alphas, betas, kinds", [
@@ -76,6 +79,15 @@ def test_grid_cell_count():
                     ("xlogx",))
     assert len(spec.cells()) == 2601
     assert len(GridSpec((0.0, 5.0), (0.0, 5.0), ("xlogx",)).cells()) == 4
+
+
+def test_grid_spec_runs_each_cell_once(toy, tmp_path):
+    spec = GridSpec((0.4, 0.0, 0.4), (0.0,), ("xsquared", "xsquared"))
+    assert spec.cells() == [("xsquared", 0.4, 0.0), ("xsquared", 0.0, 0.0)]
+    corpus, gold = toy
+    records = run_grid(corpus, gold, spec, tmp_path / "g")
+    assert [r.key() for r in records] == spec.cells()
+    assert len(load_ledger(tmp_path / "g")) == 2
 
 
 def test_run_grid_records_everything(toy, tmp_path):
@@ -203,49 +215,49 @@ def test_resume_that_changes_an_identity_field_is_refused(
     assert {f: (out / f).read_bytes() for f in before} == before
 
 
-def test_partial_identity_adopts_the_missing_fields(toy, tmp_path):
+@pytest.mark.parametrize("damage", ["lacks stop_at", "deleted"])
+def test_resume_without_a_complete_identity_is_refused(
+        damage, toy, tmp_path, monkeypatch):
+    import incseg.search as search_mod
     corpus, gold = toy
     out = tmp_path / "grid"
-    spec = GridSpec((0.0,), (0.0,), ("xlogx",))
-    first = run_grid(corpus, gold, spec, out, BASE_OPTIONS)
+    run_grid(corpus, gold, GridSpec((0.0,), (0.0,), ("xlogx",)), out,
+             BASE_OPTIONS)
     kept = out / "identity.json"
-    identity = json.loads(kept.read_text())
-    assert set(identity) == set(RESUME_CHANGES)
-    ledger = (out / "runs.jsonl").read_bytes()
-    # an identity from before the options were recorded
-    old = {f: identity[f] for f in ("n_max", "corpus_sha256")}
-    kept.write_text(json.dumps(old))
-    assert run_grid(corpus, gold, spec, out, BASE_OPTIONS) == first
-    assert (out / "runs.jsonl").read_bytes() == ledger
-    assert json.loads(kept.read_text()) == identity
-    # the adopted fields bind later resumes
-    with pytest.raises(ValueError, match="stop_at 5, not 50"):
-        run_grid(corpus, gold, spec, out, replace(BASE_OPTIONS, stop_at=50))
-    # a field the old identity holds must still match
-    kept.write_text(json.dumps(old))
-    with pytest.raises(ValueError, match="n_max 2, not 3"):
-        run_grid(corpus, gold, spec, out, replace(BASE_OPTIONS, n_max=3))
-    assert json.loads(kept.read_text()) == old
-    assert (out / "runs.jsonl").read_bytes() == ledger
+    if damage == "deleted":
+        kept.unlink()
+        field = "n_max"  # the first field of the identity
+    else:
+        identity = json.loads(kept.read_text())
+        del identity["stop_at"]
+        kept.write_text(json.dumps(identity))
+        field = "stop_at"
+    before = {f.name: f.read_bytes() for f in out.glob("*.json*")}
+    monkeypatch.setattr(search_mod, "_run_cell", None)  # no cell may run
+    with pytest.raises(ValueError, match=rf"runs\.jsonl holds runs with "
+                                         rf"{field} unrecorded, not ") as exc:
+        run_grid(corpus, gold, GridSpec((0.0, 0.4), (0.0,), ("xlogx",)), out,
+                 BASE_OPTIONS)
+    assert "\n" not in str(exc.value)
+    assert {f.name: f.read_bytes() for f in out.glob("*.json*")} == before
 
 
-def test_ledger_without_identity_adopts_one(toy, tmp_path):
+def test_start_over_binds_the_ledger_to_the_new_identity(toy, tmp_path):
     corpus, gold = toy
     out = tmp_path / "grid"
     spec = GridSpec((0.0,), (0.0,), ("xlogx",))
-    first = run_grid(corpus, gold, spec, out)
+    run_grid(corpus, gold, spec, out)
     identity = json.loads((out / "identity.json").read_text())
-    assert identity["n_max"] == 2 and len(identity["corpus_sha256"]) == 64
-    # a ledger written before the identity file existed
-    (out / "identity.json").unlink()
-    assert run_grid(corpus, gold, spec, out) == first
-    assert json.loads((out / "identity.json").read_text()) == identity
     other, other_gold = make_corpus(toy_text(80, seed=3), tmp_path=tmp_path)
     with pytest.raises(ValueError, match=r"corpus_sha256"):
         run_grid(other, other_gold, spec, out)
     # starting over takes the new corpus's identity
-    run_grid(other, other_gold, spec, out, resume=False)
+    records = run_grid(other, other_gold, spec, out, resume=False)
     assert json.loads((out / "identity.json").read_text()) != identity
+    assert load_ledger(out) == records
+    assert run_grid(other, other_gold, spec, out) == records
+    with pytest.raises(ValueError, match=r"corpus_sha256"):
+        run_grid(corpus, gold, spec, out)
     assert not list(out.glob(".*"))  # no file left aside
 
 
@@ -254,11 +266,14 @@ def test_bad_ledger_line_names_file_and_line(toy, tmp_path):
     out = tmp_path / "grid"
     run_grid(corpus, gold, small_grid_spec(), out)
     ledger = out / "runs.jsonl"
-    lines = ledger.read_text().splitlines(keepends=True)
-    lines[1] = lines[1][:30] + "\n"
-    ledger.write_text("".join(lines))
-    with pytest.raises(ValueError, match=r"runs\.jsonl:2: bad ledger line"):
-        load_ledger(out)
+    good = ledger.read_text().splitlines(keepends=True)
+    # a cut row, and a row with a field that RunRecord does not have
+    for bad in (good[1][:30] + "\n",
+                json.dumps({**json.loads(good[1]), "stage": None}) + "\n"):
+        ledger.write_text("".join([good[0], bad, *good[2:]]))
+        with pytest.raises(ValueError,
+                           match=r"runs\.jsonl:2: bad ledger line"):
+            load_ledger(out)
 
 
 def test_traced_cell_scores_final_boundaries_once(toy, tmp_path,
@@ -530,21 +545,6 @@ def test_ledger_roundtrip(toy, tmp_path):
     loaded = load_ledger(tmp_path / "g")
     assert [r.key() for r in loaded] == [r.key() for r in records]
     assert loaded[0].criteria == records[0].criteria
-
-
-def test_ledger_with_null_stage_field_loads(toy, tmp_path):
-    # ledgers written before RunRecord lost its always-null ``stage`` field
-    corpus, gold = toy
-    out = tmp_path / "g"
-    records = run_grid(corpus, gold, small_grid_spec(), out)
-    ledger = out / "runs.jsonl"
-    rows = [json.loads(line) for line in ledger.read_text().splitlines()]
-    ledger.write_text("".join(json.dumps({**row, "stage": None}) + "\n"
-                              for row in rows))
-    assert load_ledger(out) == records
-    resumed = run_grid(corpus, gold, small_grid_spec(), out)
-    assert resumed == records  # every cell counts as done
-    assert len(ledger.read_text().splitlines()) == len(records)
 
 
 def test_failed_cell_recorded_and_retried(toy, tmp_path, monkeypatch):
