@@ -15,6 +15,18 @@ import numpy as np
 from .corpus import RawCorpus, distinct
 
 TokenTuple = tuple[int, ...]
+# the occurrence pool's size, in multiples of the positions it starts with
+_POOL_SLACK = 2
+
+
+def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values of the sorted ``v`` starts, and its
+    length."""
+    edge = np.empty(len(v) + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(v[1:], v[:-1], out=edge[1:-1])
+    edge = np.flatnonzero(edge)
+    return edge[:-1], edge[1:] - edge[:-1]
 
 
 @functools.cache
@@ -137,9 +149,12 @@ class CandidateIndex:
     Columns, filled when the id is born: ``comp[:, i]``, its tokens padded
     with 0; ``mult[:, i]``, each distinct token's count at its first slot
     and 0 elsewhere; ``order[i]``, its length, 0 while i is free;
-    ``m[i]``, its greedy occurrence count, the only copy there is.  Ids
+    ``m[i]``, its greedy occurrence count, the only copy there is;
+    ``_pool[_at[i]:_at[i] + _len[i]]``, the positions it held at birth or
+    at the pool's last rebuild, which hold all it has now, as an id's
+    positions only leave it.  Ids
     below ``size`` have been used.  One rule, ``_greedy``, gives the sites
-    ``apply`` merges and the counts ``_settle`` redoes, one pass per order.
+    ``apply`` merges and the counts ``_settle`` redoes, one call per order.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
@@ -154,8 +169,13 @@ class CandidateIndex:
         self.order = np.zeros(1024, np.int64)
         self.comp = np.zeros((n_max, 1024), np.int64)
         self.mult = np.zeros((n_max, 1024), np.int64)
+        self._at = np.zeros(1024, np.int64)
+        self._len = np.zeros(1024, np.int64)
         self._free = self._freed = self._born = np.zeros(0, np.int64)
         live = np.flatnonzero(seq.tok >= 0)
+        self._pool = np.empty(int(_POOL_SLACK * len(live) * len(self.orders)),
+                              np.int64)  # room for every order's births
+        self._fill = 0  # pool entries in use
         self._settle(self._register([live] * len(self.orders)))
 
     def _intern(self, n: int, keys: np.ndarray) -> np.ndarray:
@@ -172,7 +192,8 @@ class CandidateIndex:
         self._free, self.size = free[:kept], top
         grow = (1 << (top - 1).bit_length()) - len(self.m)
         if grow > 0:  # every column alike, to a power-of-2 capacity
-            for name in ("m", "_overlaps", "order", "comp", "mult"):
+            for name in ("m", "_overlaps", "order", "comp", "mult", "_at",
+                         "_len"):
                 col = getattr(self, name)
                 setattr(self, name, np.pad(
                     col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
@@ -194,8 +215,9 @@ class CandidateIndex:
 
     def _register(self, reach: list[np.ndarray]) -> list[np.ndarray]:
         """Intern and count the order-n n-grams that start at the distinct
-        live positions ``reach[n - 2]``, none of them live yet; returns the
-        ids born, per order."""
+        live positions ``reach[n - 2]``, none of them live yet, and give
+        each id born its positions' slice of the pool; returns the ids
+        born, per order."""
         tok, nxt = self.seq.tok, self.seq.nxt
         met = []
         for n, pos in zip(self.orders, reach):
@@ -205,26 +227,70 @@ class CandidateIndex:
                 ok = q != -1
                 pos, q = pos[ok], q[ok]
             head = tok[pos] if n == 2 else self.gram[n - 1][pos]
-            keys, inv, cnt = np.unique(head << 32 | tok[q],
-                                       return_inverse=True, return_counts=True)
-            ids = self._intern(n, keys)
+            keys = head << 32 | tok[q]
+            perm = np.argsort(keys)
+            keys, pos = keys[perm], pos[perm]
+            start, cnt = _runs(keys)
+            ids = self._intern(n, keys[start])
             self.m[ids] += cnt
-            self.gram[n][pos] = ids[inv]
+            self.gram[n][pos] = np.repeat(ids, cnt)
+            self._append(ids, start, cnt, pos)
             met.append(ids)
         return met
 
+    def _append(self, ids: np.ndarray, start: np.ndarray, cnt: np.ndarray,
+                pos: np.ndarray) -> None:
+        """Give each of ``ids`` its run of ``pos``, from ``start`` with
+        ``cnt`` entries, as its slice at the pool's fill mark, or rebuild
+        the pool if they do not fit: ``gram`` holds them already."""
+        if self._fill + len(pos) > len(self._pool):
+            return self._rebuild()
+        self._at[ids] = self._fill + start
+        self._len[ids] = cnt
+        self._pool[self._fill:self._fill + len(pos)] = pos
+        self._fill += len(pos)
+
+    def _rebuild(self) -> None:
+        """Refill the pool from ``gram``, each live id's positions in
+        order, in a new one ``_POOL_SLACK`` times their size."""
+        live = [np.flatnonzero(self.gram[n] >= 0) for n in self.orders]
+        self._pool = np.empty(int(_POOL_SLACK * sum(map(len, live))), np.int64)
+        self._len[:] = 0  # free ids own nothing
+        self._fill = 0
+        for n, pos in zip(self.orders, live):
+            key = np.sort(self.gram[n][pos] << 32 | pos)
+            start, cnt = _runs(key >> 32)
+            self._append(key[start] >> 32, start, cnt, key & 0xFFFFFFFF)
+
     def _deregister(self, reach: list[np.ndarray]) -> list[np.ndarray]:
         """Uncount the order-n n-grams that start at ``reach[n - 2]``;
-        returns the ids met."""
+        returns the ids met, once per position."""
         met = []
         for n, pos in zip(self.orders, reach):
             g = self.gram[n]
             ids = g[pos]
-            ids, cnt = np.unique(ids[ids >= 0], return_counts=True)
-            self.m[ids] -= cnt
+            ids = ids[ids >= 0]
+            np.subtract.at(self.m, ids, 1)
             g[pos] = -1
             met.append(ids)
         return met
+
+    def _occurrences(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(position, id) of every live occurrence of the order-n ``ids``,
+        by id, then position: each id's pool slice, less the positions
+        that have left it."""
+        at, cnt = self._at[ids], self._len[ids]
+        g = self.gram[n]
+        if len(ids) == 1:
+            pos = self._pool[at[0]:at[0] + cnt[0]]
+            pos = np.sort(pos[g[pos] == ids[0]])
+            return pos, np.full(len(pos), ids[0])
+        who = np.repeat(ids, cnt)
+        skip = np.repeat(at - cnt.cumsum() + cnt, cnt)  # pool index less row
+        pos = self._pool[skip + np.arange(len(who))]
+        keep = g[pos] == who
+        key = np.sort(who[keep] << 32 | pos[keep])
+        return key & 0xFFFFFFFF, key >> 32
 
     def _greedy(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """(start, id) of every greedy occurrence of the order-n ``ids``,
@@ -232,15 +298,7 @@ class CandidateIndex:
         row before it, of the same id, is kept, as ends rise with starts;
         only the rows that clash walk the frontier, from the end of the
         last row that did not clash."""
-        g = self.gram[n]
-        if len(ids) == 1:  # one equality scan is cheaper than the gather
-            pos = np.flatnonzero(g == ids[0])
-        else:
-            want = np.zeros(self.size + 1, bool)  # gram's -1 reads the last
-            want[ids] = True
-            pos = np.flatnonzero(want[g])
-            pos = pos[np.argsort(g[pos], kind="stable")]
-        who = g[pos]
+        pos, who = self._occurrences(n, ids)
         if not self._overlaps[ids].any():
             return pos, who
         end = pos
@@ -271,7 +329,7 @@ class CandidateIndex:
 
     def _settle(self, met: list[np.ndarray]) -> None:
         """Recount the self-overlapping ids met, whose position counts are
-        not greedy counts, in one ``_greedy`` pass per order; free every id
+        not greedy counts, in one ``_greedy`` call per order; free every id
         met left at 0."""
         ids = distinct(np.concatenate(met))
         over = ids[self._overlaps[ids]]
@@ -289,7 +347,7 @@ class CandidateIndex:
         return tuple(self.comp[:self.order[i], i].tolist()) or None
 
     def first_position(self, i: int) -> int:
-        return int(np.argmax(self.gram[self.order[i]] == i))
+        return int(self._occurrences(self.order[i], np.array([i]))[0][0])
 
     def apply(self, i: int, lex: Lexicon) -> CompressionDelta:
         """Compress all greedy occurrences of n-gram ``i`` in one batch.

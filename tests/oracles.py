@@ -378,7 +378,8 @@ def verify_index(index):
     found there by following links, that every other position holds -1,
     that each live id is one distinct n-gram counted as a full scan counts
     it, and that its columns (order, zero-padded tokens, multiplicity of
-    each distinct token at its first slot, self-overlap) match the tuple."""
+    each distinct token at its first slot, self-overlap) match the tuple,
+    and that its slice of the occurrence pool holds its live positions."""
     seq = index.seq
     tok, nxt = seq.tok.tolist(), seq.nxt.tolist()
     live = {p for block in walk(seq) for p in block}
@@ -409,6 +410,14 @@ def verify_index(index):
         assert index.mult[:, i].tolist() == [*mult, *pad][:index.n_max], i
         assert index._overlaps[i] == any(t[d:] == t[:n - d]
                                          for d in range(1, n)), i
+        # its pool slice lies below the fill mark and holds every position
+        # the id is live at, the first of which is the tie-break's
+        at, ln = int(index._at[i]), int(index._len[i])
+        assert 0 <= at and at + ln <= index._fill <= len(index._pool), i
+        held = set(index._pool[at:at + ln].tolist())
+        gram = index.gram[n]
+        assert set(np.flatnonzero(gram == i).tolist()) <= held, i
+        assert index.first_position(i) == int(np.argmax(gram == i)), i
 
 
 @dataclass

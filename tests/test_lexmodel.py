@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incseg import lexmodel
 from incseg.ensemble import majority_vote
-from incseg.learner import LearnerOptions, PenaltyParams, init_state
+from incseg.learner import LearnerOptions, PenaltyParams, init_state, run
 from incseg.lexmodel import CandidateIndex, init_from_corpus
 from incseg.search import load_boundaries, save_boundaries
 
@@ -274,6 +275,36 @@ def test_greedy_counts_and_sites_on_runs(text, n_max, data):
         assert index._sites(i).tolist() == _scan_sites(seq, t), (text, t)
         index.apply(i, lex)
         verify_index(index)
+
+
+@given(run_texts, st.integers(2, 4), st.sampled_from((0.0, 0.3)))
+@settings(max_examples=40, deadline=None)
+def test_pool_rebuilt_at_almost_every_birth_changes_no_run(text, n_max, a):
+    corpus, _ = make_corpus(text)
+    params = PenaltyParams(a, a)
+    options = LearnerOptions(n_max=n_max, trace_mode="none")
+    plain = run(corpus, params, options)
+    apply, rebuild, rebuilds = CandidateIndex.apply, CandidateIndex._rebuild, []
+
+    def checked(self, i, lex):
+        out = apply(self, i, lex)
+        verify_index(self)
+        # a rebuilt pool has no room left, so every later birth rebuilds
+        assert not rebuilds or self._fill == len(self._pool)
+        return out
+
+    def counted(self):
+        rebuilds.append(self._fill)
+        rebuild(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lexmodel, "_POOL_SLACK", 1)  # no room beyond the need
+        mp.setattr(CandidateIndex, "apply", checked)
+        mp.setattr(CandidateIndex, "_rebuild", counted)
+        forced = run(corpus, params, options)
+    assert (forced.iterations, forced.stopped, repr(forced.objective)) == (
+        plain.iterations, plain.stopped, repr(plain.objective))
+    assert forced.hypothesis.boundaries == plain.hypothesis.boundaries
 
 
 def test_settle_recounts_interleaved_self_overlaps_in_one_batch():
