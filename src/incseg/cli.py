@@ -161,6 +161,7 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
     if len(records) < n_cells:
         print(f"incseg: {n_cells - len(records)} cells failed; "
               f"see {Path(ns.out) / 'errors.jsonl'}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -261,10 +262,12 @@ def _cmd_correlate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(ns: argparse.Namespace) -> int:
+    kind = _PENALTY_NAMES[ns.penalty]
     records = [r for r in _search.load_ledger(Path(ns.ledger))
-               if r.penalty == _PENALTY_NAMES[ns.penalty]]
+               if r.penalty == kind]
     if not records:
-        raise RuntimeError("no records for that penalty kind")
+        raise RuntimeError(
+            f"{Path(ns.ledger) / 'runs.jsonl'} holds no {kind} records")
     alphas, betas, rows = _search.export_heatmap(records, ns.quantity,
                                                  log_transform=ns.log)
     _search.write_heatmap_csv(alphas, betas, rows, ns.out)
@@ -412,7 +415,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("heatmap", help="export a grid quantity as CSV")
     p.add_argument("--ledger", required=True)
-    p.add_argument("--quantity", default="tokenF")
+    p.add_argument("--quantity", default="tokenF",
+                   choices=_search.QUANTITIES)
     p.add_argument("--penalty", default="xlogx", choices=tuple(_PENALTY_NAMES))
     p.add_argument("--log", action="store_true",
                    help="log-transform the quantity")

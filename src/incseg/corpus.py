@@ -24,6 +24,31 @@ class CorpusError(ValueError):
     """Unreadable or malformed corpus input."""
 
 
+def positions(boundaries: Iterable[int], n_chars: int | None = None
+              ) -> np.ndarray:
+    """``boundaries`` as an int64 array, an int64 array as it is.  With
+    ``n_chars``, a position outside 1..n_chars-1 is refused."""
+    b = (boundaries.astype(np.int64, copy=False)
+         if isinstance(boundaries, np.ndarray)
+         else np.fromiter(boundaries, np.int64))
+    if n_chars is not None:
+        bad = b[(b <= 0) | (b >= n_chars)]
+        if len(bad):
+            raise ValueError(
+                f"boundary position {bad.min()} outside 1..{n_chars - 1}")
+    return b
+
+
+def runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values of the sorted ``v`` starts, and its
+    length."""
+    edge = np.empty(len(v) + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(v[1:], v[:-1], out=edge[1:-1])
+    edge = np.flatnonzero(edge)
+    return edge[:-1], edge[1:] - edge[:-1]
+
+
 def distinct(v: np.ndarray) -> np.ndarray:
     """Sorted distinct values of ``v``, by a sort and a neighbour mask
     (numpy's value-only ``unique`` takes a slower hash path)."""
@@ -70,8 +95,7 @@ class RawCorpus:
     def word_starts(self, boundaries: Iterable[int]) -> np.ndarray:
         """First positions, ascending, of the words that the block edges
         and the ``boundaries`` inside the text cut it into."""
-        b = (boundaries if isinstance(boundaries, np.ndarray)
-             else np.fromiter(boundaries, np.int64))
+        b = positions(boundaries)
         inside = b[(b > 0) & (b < self.n_chars)]
         return distinct(np.concatenate((inside, self.offsets)))
 

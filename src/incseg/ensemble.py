@@ -6,6 +6,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import positions
+
 
 def majority_vote(boundary_sets: Sequence[Iterable[int]],
                   block_edges: Iterable[int],
@@ -18,15 +20,9 @@ def majority_vote(boundary_sets: Sequence[Iterable[int]],
     k = len(boundary_sets)
     if k < 1:
         raise ValueError("need at least one input")
-    votes = np.zeros(n_chars + 1, np.int64)
+    votes = np.zeros(n_chars, np.int64)
     for bs in boundary_sets:
-        b = bs if isinstance(bs, np.ndarray) else np.fromiter(bs, np.int64)
-        bad = b[(b <= 0) | (b >= n_chars)]
-        if len(bad):
-            raise ValueError(
-                f"boundary position {bad.min()} outside 1..{n_chars - 1}; "
-                "inputs must cover the same character stream")
-        votes[b] += 1  # buffered: a repeated position adds one vote
+        votes[positions(bs, n_chars)] += 1  # a repeated position adds one
     keep = 2 * votes > k
-    keep[np.fromiter(block_edges, np.int64)] = True
+    keep[positions(block_edges, n_chars)] = True
     return frozenset(np.flatnonzero(keep).tolist())

@@ -6,35 +6,16 @@ compression consumes exactly the occurrences that were counted.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import RawCorpus, distinct
+from .corpus import RawCorpus, distinct, runs
 
 TokenTuple = tuple[int, ...]
 # the occurrence pool's size, in multiples of the positions it starts with
 _POOL_SLACK = 2
-
-
-def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal values of the sorted ``v`` starts, and its
-    length."""
-    edge = np.empty(len(v) + 1, bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(v[1:], v[:-1], out=edge[1:-1])
-    edge = np.flatnonzero(edge)
-    return edge[:-1], edge[1:] - edge[:-1]
-
-
-@functools.cache
-def _slots(n: int) -> tuple[np.ndarray, ...]:
-    """Slots 0..n-1 as a column, and the slot pairs (a + d, a) by shift
-    d < n, a < n - d, with where each shift's pairs start."""
-    d, a = np.array([(d, a) for d in range(1, n) for a in range(n - d)]).T
-    return np.arange(n)[:, None], a + d, a, np.flatnonzero(a == 0)
 
 
 @dataclass
@@ -202,14 +183,14 @@ class CandidateIndex:
         t[:n - 1] = keys >> 32 if n == 2 else self.comp[:n - 1, keys >> 32]
         t[n - 1] = keys & 0xFFFFFFFF
         eq = t[:n, None] == t[:n]               # eq[a, b]: slot a == slot b
-        slots, shifted, slot, first = _slots(n)
         # a token's count goes to the first slot that holds it
-        cols[1, :n] = np.add.reduce(eq, 1) * (eq.argmax(1) == slots)
+        at_first = eq.argmax(1) == np.arange(n)[:, None]
+        cols[1, :n] = np.add.reduce(eq, 1) * at_first
         self.comp[:, born], self.mult[:, born] = cols
         self.order[born] = n
         # self-overlap: for some shift d, slot a + d == slot a for every a
         self._overlaps[born] = np.logical_or.reduce(
-            np.logical_and.reduceat(eq[shifted, slot], first), 0)
+            [eq.diagonal(-d).all(1) for d in range(1, n)])
         self._born = np.concatenate((self._born, born))
         return born
 
@@ -230,7 +211,7 @@ class CandidateIndex:
             keys = head << 32 | tok[q]
             perm = np.argsort(keys)
             keys, pos = keys[perm], pos[perm]
-            start, cnt = _runs(keys)
+            start, cnt = runs(keys)
             ids = self._intern(n, keys[start])
             self.m[ids] += cnt
             self.gram[n][pos] = np.repeat(ids, cnt)
@@ -259,7 +240,7 @@ class CandidateIndex:
         self._fill = 0
         for n, pos in zip(self.orders, live):
             key = np.sort(self.gram[n][pos] << 32 | pos)
-            start, cnt = _runs(key >> 32)
+            start, cnt = runs(key >> 32)
             self._append(key[start] >> 32, start, cnt, key & 0xFFFFFFFF)
 
     def _deregister(self, reach: list[np.ndarray]) -> list[np.ndarray]:
@@ -281,7 +262,7 @@ class CandidateIndex:
         that have left it."""
         at, cnt = self._at[ids], self._len[ids]
         g = self.gram[n]
-        if len(ids) == 1:
+        if len(ids) == 1:  # a merge's sites: grid-78k-traced is slower without
             pos = self._pool[at[0]:at[0] + cnt[0]]
             pos = np.sort(pos[g[pos] == ids[0]])
             return pos, np.full(len(pos), ids[0])
@@ -299,7 +280,7 @@ class CandidateIndex:
         only the rows that clash walk the frontier, from the end of the
         last row that did not clash."""
         pos, who = self._occurrences(n, ids)
-        if not self._overlaps[ids].any():
+        if not self._overlaps[ids].any():  # grid-78k-traced is slower without
             return pos, who
         end = pos
         for _ in range(n - 1):

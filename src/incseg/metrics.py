@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import GoldSegmentation, RawCorpus, distinct
+from .corpus import GoldSegmentation, RawCorpus, positions, runs
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,9 @@ def evaluate_segmentation(corpus: RawCorpus, gold: GoldSegmentation,
     n = corpus.n_chars
     if gold.n_chars != n:
         raise ValueError("gold and corpus disagree on character count")
-    given = np.fromiter(hyp_boundaries, np.int64)
-    bad = distinct(given[(given <= 0) | (given >= n)]).tolist()
-    if bad:
-        raise ValueError(f"boundary positions out of range: {bad[:3]}")
     # block edges are given: word_starts adds them to both sides
-    h, g = corpus.word_starts(given), corpus.word_starts(gold.boundaries)
+    h = corpus.word_starts(positions(hyp_boundaries, n))
+    g = corpus.word_starts(gold.boundaries)
     return SegReport(
         token=token_prf(h, g, n),
         boundary=boundary_prf(h, g, corpus.offsets),
@@ -103,13 +100,9 @@ def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     ranks alone, after +inf, in input order."""
     v = np.asarray(values, dtype=float)
     order = np.argsort(v, kind="stable")
-    sv = v[order]
-    first = np.ones(len(v), bool)  # where a run of equal values starts
-    first[1:] = sv[1:] != sv[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], len(v)) - 1
+    start, length = runs(v[order])
     ranks = np.empty(len(v), dtype=float)
-    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(first) - 1]
+    ranks[order] = np.repeat(start + (length - 1) / 2 + 1, length)
     return ranks
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import criteria as _criteria
 from . import learner as _learner
 from . import metrics as _metrics
-from .corpus import GoldSegmentation, RawCorpus
+from .corpus import GoldSegmentation, RawCorpus, positions
 from .criteria import CRITERIA
 from .learner import LearnerOptions, PenaltyParams
 
@@ -88,8 +88,8 @@ class RunRecord:
 
 
 def save_boundaries(boundaries: Iterable[int], directory: Path) -> tuple[str, str]:
-    """Delta-encode sorted positions; file is named by content digest."""
-    arr = np.fromiter(sorted(boundaries), dtype=np.uint32)
+    """Delta-encode sorted uint32 positions in a file named by their digest."""
+    arr = np.sort(positions(boundaries, 2**32)).astype(np.uint32)
     deltas = np.diff(arr, prepend=np.uint32(0)).astype(np.uint32)
     digest = hashlib.sha256(arr.tobytes()).hexdigest()
     directory.mkdir(parents=True, exist_ok=True)
@@ -149,7 +149,7 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
     t0 = time.perf_counter()
     params = PenaltyParams(alpha=alpha, beta=beta, kind=kind)
     result = _learner.run(corpus, params, options, gold=gold)
-    bounds = result.hypothesis.boundaries
+    bounds = positions(result.hypothesis.boundaries)
     trace_rel = None
     if options.trace_mode == "criteria":  # ends with a snapshot of bounds
         crit = result.trace[-1].criteria
@@ -320,22 +320,23 @@ def select_top_k(records: Sequence[RunRecord], criterion: str,
     return ordered[:k]
 
 
-_F_QUANTITIES = {"tokenF": "token", "boundaryF": "boundary",
-                 "lexiconF": "lexicon"}
+_F_SCORES = ("tokenF", "boundaryF", "lexiconF")
+# what a heat map can show: the F scores, the criteria and six ledger fields
+QUANTITIES = (*_F_SCORES, *CRITERIA, "iterations", "n_tokens", "n_types",
+              "objective", "wall_time", "n_boundaries")
 
 
 def record_quantity(rec: RunRecord, quantity: str) -> float:
-    if quantity in _F_QUANTITIES:
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if quantity in CRITERIA:
+        return rec.criteria[quantity]
+    if quantity in _F_SCORES:
         if rec.metrics is None:
             raise ValueError(
                 f"{quantity} requires gold labels; none recorded for this run")
-        return rec.metrics[_F_QUANTITIES[quantity]]["f"]
-    if quantity in CRITERIA:
-        return rec.criteria[quantity]
-    if quantity in ("iterations", "n_tokens", "n_types", "objective",
-                    "wall_time", "n_boundaries"):
-        return float(getattr(rec, quantity))
-    raise ValueError(f"unknown quantity {quantity!r}")
+        return rec.metrics[quantity[:-1]]["f"]
+    return float(getattr(rec, quantity))
 
 
 def export_heatmap(records: Sequence[RunRecord], quantity: str,

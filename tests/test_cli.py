@@ -200,6 +200,17 @@ def test_config_file_not_utf8_exits_2(corpus_file, tmp_path, capsys):
     assert not (tmp_path / "s.txt").exists()
 
 
+def test_missing_config_file_exits_2(corpus_file, tmp_path, capsys):
+    cfg = tmp_path / "none.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["segment", str(corpus_file), "--config", str(cfg),
+              "--out", str(tmp_path / "s.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(cfg) in err[0], err
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_grid_penalty_given_twice_runs_once(corpus_file, tmp_path, capsys):
     grid = tmp_path / "grid"
     assert main(["grid", str(corpus_file), "--alpha", "0", "--beta", "0",
@@ -301,7 +312,8 @@ def test_config_multi_value_and_switch(corpus_file, tmp_path):
 
 
 @pytest.mark.parametrize("entry", ["penalty = foo", "aplha = 1",
-                                   "max-iters = 3", "trace = maybe"])
+                                   "max-iters = 3", "trace = maybe",
+                                   "alpha 0.2"])
 def test_bad_config_entry_exits_2(corpus_file, tmp_path, capsys, entry):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(entry + "\n")
@@ -570,3 +582,87 @@ def test_punct_hard_reads_each_file_once(tmp_path, capsys, monkeypatch):
     assert sorted(reads) == ["seg.txt", "zh.txt"]
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["token"]["f"] <= 100.0
+
+
+def test_heatmap_quantity_is_checked_as_a_flag(tmp_path, capsys):
+    # refused before the ledger, which does not exist, is read
+    out = tmp_path / "hm.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["heatmap", "--ledger", str(tmp_path / "none"),
+              "--quantity", "foo", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'foo'" in err[0], err
+    assert not out.exists()
+
+
+def test_heatmap_without_records_names_ledger_and_kind(corpus_file,
+                                                       tmp_path, capsys):
+    grid = tmp_path / "grid"
+    assert main(["grid", str(corpus_file), "--alpha", "0", "--beta", "0",
+                 "--out", str(grid)]) == 0
+    for ledger in (tmp_path, grid):
+        capsys.readouterr()
+        assert main(["heatmap", "--ledger", str(ledger), "--penalty", "x2",
+                     "--out", str(tmp_path / "hm.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"incseg: error: {ledger / 'runs.jsonl'} holds no xsquared "
+            "records"]
+
+
+def test_heatmap_of_a_ledger_field_and_its_log(corpus_file, tmp_path,
+                                               capsys):
+    grid = tmp_path / "grid"
+    assert main(["grid", str(corpus_file), "--alpha", "0:0.4:0.4",
+                 "--beta", "0", "--stop-at", "0", "--out", str(grid)]) == 0
+    rows = [json.loads(line)
+            for line in (grid / "runs.jsonl").read_text().splitlines()]
+    out = tmp_path / "it.csv"
+    assert main(["heatmap", "--ledger", str(grid), "--quantity",
+                 "iterations", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "0.0," + ",".join(repr(float(r["iterations"])) for r in rows)]
+    capsys.readouterr()
+    assert main(["heatmap", "--ledger", str(grid), "--quantity",
+                 "iterations", "--log", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "incseg: error: log transform needs positive values"]
+
+
+def test_select_on_a_ledger_without_rows_is_one_line_error(tmp_path,
+                                                           capsys):
+    (tmp_path / "runs.jsonl").write_text("")
+    assert main(["select", "--ledger", str(tmp_path), "--criterion",
+                 "mdl2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"incseg: error: no records in {tmp_path}"]
+
+
+def test_grid_with_a_failed_cell_exits_1(corpus_file, tmp_path, capsys,
+                                         monkeypatch):
+    import incseg.search as search_mod
+    real = search_mod._execute_cell
+
+    def flaky(*args):  # (..., kind, alpha, beta)
+        if args[-2:] == (0.4, 0.0):
+            raise RuntimeError("injected failure")
+        return real(*args)
+
+    grid = tmp_path / "grid"
+    argv = ["grid", str(corpus_file), "--alpha", "0:0.4:0.4",
+            "--beta", "0:0.4:0.4", "--jobs", "1", "--out", str(grid)]
+    with monkeypatch.context() as mp:
+        mp.setattr(search_mod, "_execute_cell", flaky)
+        assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"incseg: 1 cells failed; see {grid / 'errors.jsonl'}"]
+    assert (grid / "manifest.json").exists()
+
+    def cells():
+        return [(r["alpha"], r["beta"]) for r in map(
+            json.loads, (grid / "runs.jsonl").read_text().splitlines())]
+
+    assert sorted(cells()) == [(0.0, 0.0), (0.0, 0.4), (0.4, 0.4)]
+    assert main(argv) == 0  # the resume retries the failed cell
+    assert capsys.readouterr().err == ""
+    assert cells()[3:] == [(0.4, 0.0)]

@@ -41,6 +41,8 @@ def test_out_of_range_rejected():
         majority_vote([{0}], set(), 5)
     with pytest.raises(ValueError, match="position 5 outside 1..4"):
         majority_vote([{1, 2}, np.array([2, 5], np.int64)], set(), 5)
+    with pytest.raises(ValueError, match="position 5 outside 1..4"):
+        majority_vote([{1, 2}], {5}, 5)  # a block edge too
 
 
 def test_empty_input_list_rejected():

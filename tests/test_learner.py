@@ -82,6 +82,10 @@ def test_learner_options_validated():
         with pytest.raises(ValueError):
             LearnerOptions(trace_interval=bad)
     assert LearnerOptions(trace_interval=1).trace_interval == 1
+    with pytest.raises(ValueError, match="trace_mode must be"):
+        LearnerOptions(trace_mode="x")
+    with pytest.raises(ValueError, match="complexity_sign must be"):
+        LearnerOptions(complexity_sign=0)
 
 
 @given(st.integers(1, 40), st.integers(1, 40))

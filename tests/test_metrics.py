@@ -60,7 +60,7 @@ def test_boundary_symmetry(tmp_path):
 
 def test_out_of_range_boundary_rejected(tmp_path):
     corpus, gold = make_corpus("ab cd\n", tmp_path=tmp_path)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="position 4 outside 1..3"):
         evaluate_segmentation(corpus, gold, {4})
 
 

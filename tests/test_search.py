@@ -3,9 +3,11 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from incseg.search import (GridSpec, RunRecord, export_heatmap, load_boundaries,
+from incseg.search import (GridSpec, RunRecord, correlation_rows,
+                           export_heatmap, load_boundaries,
                            load_ledger, parse_range, run_grid,
                            select_family_minimum, select_top_k, staged_search,
                            save_boundaries, write_heatmap_csv)
@@ -465,6 +467,15 @@ def test_heatmap_requires_gold_for_f(toy, tmp_path):
     export_heatmap(records, "mdl2")  # criteria never need gold
 
 
+def test_correlation_rows_need_gold_and_a_trace(toy, tmp_path):
+    corpus, _ = toy
+    run_grid(corpus, None, GridSpec((0.0,), (0.0,)), tmp_path / "g")
+    with pytest.raises(RuntimeError, match="records lack gold metrics"):
+        correlation_rows(tmp_path / "g", "outputs")
+    with pytest.raises(RuntimeError, match="no traced snapshots found"):
+        correlation_rows(tmp_path / "g", "trace")
+
+
 def test_staged_search(toy, tmp_path):
     corpus, gold = toy
     final, records = staged_search(corpus, gold, "mdl2",
@@ -521,6 +532,13 @@ def test_boundary_file_roundtrip(tmp_path):
     assert load_boundaries(tmp_path / rel).tolist() == sorted(bounds)
     digest2, rel2 = save_boundaries(bounds, tmp_path)
     assert digest == digest2 and rel == rel2
+
+
+@pytest.mark.parametrize("bounds", [{-5, 3}, np.array([3, 2**32])])
+def test_boundary_file_refuses_what_uint32_cannot_hold(tmp_path, bounds):
+    with pytest.raises(ValueError, match="outside 1..4294967295"):
+        save_boundaries(bounds, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_boundary_file_never_left_half_written(tmp_path, monkeypatch):
