@@ -205,10 +205,10 @@ def _load_aligned(paths: list[str], fmt: str, punct):
     base, gold = load_gold(paths[0], fmt, hard_punct=punct)
     if callable(punct):  # --punct-hard: the first file's P* characters
         punct = punct("".join(base.chars))
-    golds, want = [gold], (base.char_string(), base.block_edges())
+    golds, want = [gold], (base.char_string(), base.offsets.tolist())
     for path in paths[1:]:
         corpus, gold = load_gold(path, fmt, hard_punct=punct)
-        if (corpus.char_string(), corpus.block_edges()) != want:
+        if (corpus.char_string(), corpus.offsets.tolist()) != want:
             raise RuntimeError(
                 f"{path}: characters or lines differ from {paths[0]}")
         golds.append(gold)

@@ -83,9 +83,9 @@ class RawCorpus:
     def n_chars(self) -> int:
         return len(self.codes)
 
-    def block_edges(self) -> frozenset[int]:
-        """Boundary positions given by block structure (excludes position 0)."""
-        return frozenset(self.offsets[1:].tolist())
+    def block_edges(self) -> np.ndarray:
+        """Block-given boundary positions, a view of ``offsets[1:]``."""
+        return self.offsets[1:]
 
     def char_string(self) -> str:
         """All segmentable characters, concatenated across blocks."""
@@ -94,10 +94,10 @@ class RawCorpus:
 
     def word_starts(self, boundaries: Iterable[int]) -> np.ndarray:
         """First positions, ascending, of the words that the block edges
-        and the ``boundaries`` inside the text cut it into."""
-        b = positions(boundaries)
-        inside = b[(b > 0) & (b < self.n_chars)]
-        return distinct(np.concatenate((inside, self.offsets)))
+        and the ``boundaries`` cut the text into.  A boundary outside
+        1..n_chars-1 is refused."""
+        return distinct(np.concatenate((positions(boundaries, self.n_chars),
+                                        self.offsets)))
 
     def type_words(self, starts: np.ndarray, lengths: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +146,15 @@ class RawCorpus:
         return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoldSegmentation:
     """Reference word boundaries over a corpus' character stream.
 
-    ``boundaries`` holds every boundary position including block edges
-    (positions 0 and n_chars are implicit and never stored).
+    ``boundaries``: the sorted int64 boundary positions, block edges
+    included, 0 and n_chars not (``eq=False``: an array has no ``==``).
     """
 
-    boundaries: frozenset[int]
+    boundaries: np.ndarray
     n_chars: int
 
 
@@ -168,7 +168,8 @@ def load_gold(
     format: str = "brent",
     hard_punct: set[str] | Callable[[str], set[str]] | None = None,
 ) -> tuple[RawCorpus, GoldSegmentation]:
-    """Load a gold-segmented file; derive the unsegmented corpus and gold boundaries.
+    """Load a gold-segmented file; derive the unsegmented corpus and gold
+    boundaries, the sorted int64 starts of every word but the first.
 
     Both supported formats are one utterance/passage per line with words
     separated by whitespace; ``brent`` additionally means one symbol per
@@ -219,16 +220,13 @@ def load_gold(
     if not blocks:
         raise CorpusError("corpus is entirely punctuation")
     starts = np.cumsum(lengths) - lengths
-    # copied from a set, a frozenset's table is sized to fit, half what
-    # growing it from a list can leave
-    gold = frozenset(set(starts[1:].tolist()))
     points = np.array([ord(c) for c in chars], np.uint32)
     by_point = np.argsort(points)
     kept = np.frombuffer("".join(blocks).encode("utf-32-le"), np.uint32)
     codes = by_point[np.searchsorted(points[by_point], kept)]
     corpus = RawCorpus(codes, starts[firsts], chars, seps,
                        hashlib.sha256(raw).hexdigest())
-    return corpus, GoldSegmentation(gold, len(codes))
+    return corpus, GoldSegmentation(starts[1:], len(codes))
 
 
 def write_segmentation(
@@ -236,12 +234,12 @@ def write_segmentation(
     corpus: RawCorpus,
     path: str | Path,
 ) -> None:
-    """Write the segmented corpus and a JSON sidecar of the boundary
-    positions the text holds: the block edges and the ``boundaries`` inside
-    the text."""
+    """Write the segmented corpus and a JSON sidecar of the sorted int
+    positions it cuts at, the block edges and the ``boundaries``; a
+    boundary outside 1..n_chars-1 is refused before either is written."""
     starts = corpus.word_starts(boundaries)
     path = Path(path)
-    path.write_text(corpus.render(starts), encoding="utf-8")
+    path.write_text(corpus.render(starts[1:]), encoding="utf-8")
     meta = {
         "n_chars": corpus.n_chars,
         "n_blocks": len(corpus.offsets),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import fsum, log
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,13 +47,6 @@ class PenaltyParams:
         for v in (self.alpha, self.beta):
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError("alpha and beta must be finite and >= 0")
-
-
-def length_cost(kind: str) -> Callable[[int], float]:
-    """Super-additive per-token length cost g(x) of a checked kind."""
-    if kind == "xlogx":
-        return lambda x: x * log(x)
-    return lambda x: float(x * x)
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ class TraceRecord:
     n_boundaries: int
     criteria: dict[str, float] | None = None
     token_f: float | None = None
-    boundaries: frozenset[int] | None = None
+    boundaries: np.ndarray | None = None  # sorted int64
 
 
 @dataclass
@@ -124,10 +117,11 @@ class RunResult:
 
 @functools.lru_cache(maxsize=2)
 def _cost_table(kind: str, n_chars: int) -> np.ndarray:
-    """``length_cost(kind)`` (0 at 0), bit for bit, for each x up to
-    ``n_chars``: ln x, or x, times x with one rounding, x made in slices so
-    that no second full-size array is held.  Shared read-only by the runs
-    over one corpus; it covers every count, total and m a run can reach."""
+    """The length cost g(x), x ln x or x * x (0 at 0), for each x up to
+    ``n_chars``, bit for bit the scalar formula's float: ln x, or x, times
+    x with one rounding, x made in slices so that no second full-size
+    array is held.  Shared read-only by the runs over one corpus; it
+    covers every count, total and m a run can reach."""
     table = (np.fromiter(chain((0.0,), map(log, range(1, n_chars + 1))),
                          np.float64, n_chars + 1) if kind == "xlogx"
              else np.arange(n_chars + 1, dtype=np.float64))
@@ -138,9 +132,12 @@ def _cost_table(kind: str, n_chars: int) -> np.ndarray:
 
 
 def penalty(seq: TokenSequence, params: PenaltyParams) -> float:
-    """Sum over token occurrences of -alpha + beta * g(length), in nats."""
-    g = length_cost(params.kind)
-    glen = fsum(c * g(seq.lengths[t]) for t, c in seq.active_items())
+    """Sum over token occurrences of -alpha + beta * g(length), in nats;
+    g is read from ``_cost_table``, built only when beta > 0."""
+    glen = 0.0
+    if params.beta:
+        g = _cost_table(params.kind, seq.n_chars)
+        glen = fsum(c * g[seq.lengths[t]] for t, c in seq.active_items())
     return params.beta * glen - params.alpha * seq.total
 
 
@@ -296,7 +293,9 @@ def run(corpus: RawCorpus, params: PenaltyParams,
     options = options or LearnerOptions()
     t0 = time.perf_counter()
     state = init_state(corpus, params, options)
-    gold_starts = None if gold is None else corpus.word_starts(gold.boundaries)
+    gold_starts = (corpus.word_starts(gold.boundaries)
+                   if gold is not None and options.trace_mode == "criteria"
+                   else None)
     stopped = "converged"
     while True:
         if options.stop_at is not None and state.iteration >= options.stop_at:
@@ -329,11 +328,11 @@ def _trace_record(state: LearnerState, corpus: RawCorpus,
     opts = state.options
     starts = np.flatnonzero(seq.tok >= 0)  # word starts, 0 always one
     if opts.trace_boundaries:
-        rec.boundaries = frozenset(starts[1:].tolist())
+        rec.boundaries = starts[1:]
     if opts.trace_mode == "criteria":
         from . import criteria as _criteria
         from . import metrics as _metrics
-        vals = _criteria.evaluate_boundaries(corpus, starts)
+        vals = _criteria.evaluate_boundaries(corpus, starts[1:])
         rec.criteria = {cid: cv.value for cid, cv in vals.items()}
         if gold_starts is not None:
             rec.token_f = _metrics.token_prf(
@@ -360,7 +359,7 @@ def write_trace(trace: Sequence[TraceRecord], path: str | Path) -> None:
                 row["token_f"] = tr.token_f
             if tr.boundaries is not None:
                 snap = path.with_suffix(f".snap{i}.json")
-                snap.write_text(json.dumps(sorted(tr.boundaries)),
+                snap.write_text(json.dumps(tr.boundaries.tolist()),
                                 encoding="utf-8")
                 row["boundary_snapshot"] = str(snap)
             fh.write(json.dumps(row) + "\n")

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import GoldSegmentation, RawCorpus, positions, runs
+from .corpus import GoldSegmentation, RawCorpus, runs
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def evaluate_segmentation(corpus: RawCorpus, gold: GoldSegmentation,
     if gold.n_chars != n:
         raise ValueError("gold and corpus disagree on character count")
     # block edges are given: word_starts adds them to both sides
-    h = corpus.word_starts(positions(hyp_boundaries, n))
+    h = corpus.word_starts(hyp_boundaries)
     g = corpus.word_starts(gold.boundaries)
     return SegReport(
         token=token_prf(h, g, n),

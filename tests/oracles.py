@@ -95,7 +95,7 @@ def reference_render(blocks, separators, boundaries):
 
 def enumerate_segmentations(corpus):
     """All boundary sets over the corpus (block edges always present)."""
-    edges = corpus.block_edges()
+    edges = set(corpus.block_edges().tolist())
     internal = [p for p in range(1, corpus.n_chars)
                 if p not in edges and _in_block(corpus, p)]
     for r in range(len(internal) + 1):
@@ -173,7 +173,7 @@ def oracle_prf(corpus, gold, hyp_boundaries):
     ``SegReport.as_dict()``, from sets of spans and of word strings.  Block
     edges join the hypothesis, as given rather than predicted."""
     n = corpus.n_chars
-    edges = corpus.block_edges()
+    edges = set(corpus.block_edges().tolist())
     hyp = set(hyp_boundaries) | edges
     chars = corpus.char_string()
 
@@ -261,6 +261,17 @@ def reference_rho(xs, ys):
     if sx == 0.0 or sy == 0.0:
         return float("nan")
     return float((dx * dy).sum() / (sx * sy))
+
+
+# -- the length cost, one token at a time ------------------------------------
+
+
+def length_cost(kind):
+    """Super-additive per-token length cost g(x) of a checked kind, the
+    scalar form of ``learner._cost_table``."""
+    if kind == "xlogx":
+        return lambda x: x * log(x)
+    return lambda x: float(x * x)
 
 
 # -- token sequences, rescanned without the candidate index ------------------

@@ -209,7 +209,7 @@ def test_c02_bruteforce_segmentation_oracle():
 def test_c05_metric_oracles_fixture_table(tmp_path):
     for i, (text, hyp, expected) in enumerate(CASES):
         corpus, gold = make_corpus(text, tmp_path=tmp_path)
-        hyp_full = set(hyp) | corpus.block_edges()
+        hyp_full = set(hyp) | set(corpus.block_edges().tolist())
         report = evaluate_segmentation(corpus, gold, hyp_full)
         for level, prf in (("token", report.token),
                            ("boundary", report.boundary),

@@ -219,6 +219,24 @@ def test_grid_penalty_given_twice_runs_once(corpus_file, tmp_path, capsys):
     assert len((grid / "runs.jsonl").read_text().splitlines()) == 1
 
 
+def test_ensemble_sidecar_holds_the_vote(corpus_file, tmp_path, capsys):
+    from incseg.corpus import load_gold, write_segmentation
+    from incseg.ensemble import majority_vote
+    corpus, gold = load_gold(corpus_file, "brent")
+    sets = [gold.boundaries, corpus.block_edges(), gold.boundaries[::2]]
+    inputs = []
+    for i, bounds in enumerate(sets):
+        inputs.append(str(tmp_path / f"seg{i}.txt"))
+        write_segmentation(bounds, corpus, inputs[-1])
+    out = tmp_path / "voted.txt"
+    assert main(["ensemble", "--inputs", *inputs, "--out", str(out)]) == 0
+    # json.dumps refuses an np.int64, so the sidecar was written from ints
+    meta = json.loads(out.with_suffix(".txt.json").read_text())
+    want = sorted(majority_vote(sets, corpus.block_edges(), corpus.n_chars))
+    assert meta["boundaries"] == want
+    assert load_gold(out, "brent")[1].boundaries.tolist() == want
+
+
 def test_segment_trace_output(corpus_file, tmp_path):
     trace = tmp_path / "trace.jsonl"
     rc = main(["segment", str(corpus_file), "--out",

@@ -32,7 +32,7 @@ def test_brent_line(tmp_path):
 def test_single_word_line(tmp_path):
     corpus, gold = make_corpus("a\n", tmp_path=tmp_path)
     assert corpus.n_chars == 1
-    assert gold.boundaries == frozenset()
+    assert gold.boundaries.tolist() == []
     assert words(corpus, gold) == ["a"]
 
 
@@ -40,8 +40,16 @@ def test_two_line_file(tmp_path):
     corpus, gold = make_corpus("ab\ncd\n", tmp_path=tmp_path)
     assert len(corpus.offsets) == 2
     assert corpus.n_chars == 4
-    assert gold.boundaries == frozenset({2})
-    assert corpus.block_edges() == frozenset({2})
+    assert gold.boundaries.tolist() == [2]
+    assert corpus.block_edges().tolist() == [2]
+
+
+def test_gold_and_block_edges_are_sorted_int64(tmp_path):
+    corpus, gold = make_corpus("ab c de\nf gh\n\ni j k\n", tmp_path=tmp_path)
+    for got, want in ((gold.boundaries, [2, 3, 5, 6, 8, 9, 10]),
+                      (corpus.block_edges(), [5, 8])):
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == want
 
 
 def test_missing_trailing_newline(tmp_path):
@@ -92,7 +100,8 @@ def test_hard_boundaries_identity_without_punct(tmp_path):
         assert corpus.offsets.tolist() == plain.offsets.tolist()
         assert corpus.chars == plain.chars
         assert corpus.separators == plain.separators
-        assert gold == plain_gold
+        assert gold.boundaries.tolist() == plain_gold.boundaries.tolist()
+        assert gold.n_chars == plain_gold.n_chars
 
 
 def test_leading_punctuation_run(tmp_path):
@@ -126,7 +135,7 @@ def test_gold_remap_under_hard_boundaries(tmp_path):
                                tmp_path=tmp_path, hard_punct={"，"})
     assert corpus.char_string() == "abcde"
     # block edge at 2 (after ab), word boundary cd|e at 4
-    assert gold.boundaries == frozenset({2, 4})
+    assert gold.boundaries.tolist() == [2, 4]
 
 
 def test_write_segmentation_roundtrip_gold(tmp_path):
@@ -136,9 +145,10 @@ def test_write_segmentation_roundtrip_gold(tmp_path):
     write_segmentation(gold.boundaries, corpus, out)
     assert out.read_text(encoding="utf-8") == text
     reloaded_corpus, reloaded = load_gold(out, "brent")
-    assert reloaded.boundaries == gold.boundaries
-    sidecar = out.with_suffix(out.suffix + ".json")
-    assert sidecar.exists()
+    assert reloaded.boundaries.tolist() == gold.boundaries.tolist()
+    # json.dumps refuses an np.int64, so the sidecar was written from ints
+    sidecar = json.loads(out.with_suffix(".txt.json").read_text())
+    assert sidecar["boundaries"] == gold.boundaries.tolist()
 
 
 def test_write_no_boundaries_single_words(tmp_path):
@@ -156,16 +166,31 @@ def test_write_all_boundaries(tmp_path):
 
 
 def test_write_segmentation_sidecar_holds_what_the_text_holds(tmp_path):
-    # 0 and 99 lie outside the text and the block edge 2 is not given:
-    # the sidecar lists the positions the written text has, as it reloads
+    # the block edge 2 is not given: the sidecar lists the positions the
+    # written text has, as it reloads
     corpus, _ = make_corpus("ab\ncd\n", tmp_path=tmp_path)
     out = tmp_path / "out.txt"
-    write_segmentation({0, 1, 99}, corpus, out)
+    write_segmentation({1}, corpus, out)
     assert out.read_text(encoding="utf-8") == "a b\ncd\n"
     meta = json.loads(out.with_suffix(".txt.json").read_text())
     assert meta["boundaries"] == [1, 2]
     _, reloaded = load_gold(out, "brent")
-    assert sorted(reloaded.boundaries) == meta["boundaries"]
+    assert reloaded.boundaries.tolist() == meta["boundaries"]
+    # 0 and 99 lie outside the text
+    with pytest.raises(ValueError, match="position 0 outside 1..3"):
+        write_segmentation({0, 1, 99}, corpus, tmp_path / "bad.txt")
+
+
+def test_write_segmentation_refuses_out_of_range_before_writing(tmp_path):
+    corpus, _ = make_corpus("ab cd\nef\n", tmp_path=tmp_path)
+    out = tmp_path / "out.txt"
+    bad = {-5, 3, corpus.n_chars + 7}
+    with pytest.raises(ValueError, match="position -5 outside 1..5"):
+        write_segmentation(bad, corpus, out)
+    assert not out.exists() and not out.with_suffix(".txt.json").exists()
+    for p in (-5, corpus.n_chars + 7):
+        with pytest.raises(ValueError, match=f"position {p} outside"):
+            corpus.render({3, p})
 
 
 def test_default_punctuation_categories():
@@ -194,7 +219,7 @@ def test_roundtrip_random(tmp_path_factory, blocks):
     assert corpus.render(gold.boundaries) == normalized
     # idempotence: re-deriving positions from the written file changes nothing
     corpus2, gold2 = make_corpus(corpus.render(gold.boundaries))
-    assert gold2.boundaries == gold.boundaries
+    assert gold2.boundaries.tolist() == gold.boundaries.tolist()
     assert corpus2.char_string() == corpus.char_string()
 
 
@@ -241,10 +266,13 @@ def test_one_pass_parse_matches_two_pass_reference(text, punct):
     assert corpus.offsets.tolist() == [
         0, *itertools.accumulate(len(b) for b in blocks[:-1])]
     assert corpus.separators == seps
-    assert gold.boundaries == bounds and gold.n_chars == len(stream)
-    for cuts in (gold.boundaries, (), range(-1, len(stream) + 2)):
+    assert gold.boundaries.tolist() == sorted(bounds)
+    assert gold.n_chars == len(stream)
+    for cuts in (gold.boundaries, (), range(1, len(stream))):
         assert corpus.render(cuts) == reference_render(blocks, seps,
                                                        set(cuts))
+    with pytest.raises(ValueError, match="position -1 outside"):
+        corpus.render(range(-1, len(stream) + 2))
 
 
 @given(st.lists(st.integers(-3, 3) | st.integers(-2**62, 2**62),

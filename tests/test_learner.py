@@ -1,8 +1,10 @@
 """Learner scoring, stepping, stopping, and determinism."""
 
+import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incseg.learner import (PENALTY_KINDS, LearnerOptions, PenaltyParams,
-                            _cost_table, init_state, length_cost,
-                            penalized_likelihood, penalty, run, step)
+                            _cost_table, init_state, penalized_likelihood,
+                            penalty, run, step, write_trace)
 from incseg.lexmodel import init_from_corpus
 
 from conftest import (benchmark_corpus, make_corpus, random_gold_text,
                       toy_text)
 from oracles import (apply_compression, boundaries, check_objective,
-                     count_occurrences, id_of, ngram_stats, score_of,
-                     verify_sequence)
+                     count_occurrences, id_of, length_cost, ngram_stats,
+                     score_of, verify_sequence)
 
 
 def state_for(text, params=None, options=None):
@@ -323,6 +325,22 @@ def test_trace_criteria_mode_carries_scores(toy_corpus):
         assert set(rec.criteria) == {"aic1", "aic2", "aic3",
                                      "mdl1", "mdl2", "mdl3"}
         assert rec.token_f is not None
+
+
+def test_trace_snapshots_are_int64_arrays_written_as_ints(tmp_path):
+    corpus, _ = make_corpus(toy_text(60, seed=8))
+    result = run(corpus, PenaltyParams(),
+                 LearnerOptions(trace_interval=3, trace_boundaries=True))
+    path = tmp_path / "trace.jsonl"
+    write_trace(result.trace, path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(rows) == len(result.trace) > 1
+    for rec, row in zip(result.trace, rows):
+        assert rec.boundaries.dtype == np.int64
+        # json.dumps refuses an np.int64, so the file was written from ints
+        snap = json.loads(Path(row["boundary_snapshot"]).read_text())
+        assert snap == sorted(snap) == rec.boundaries.tolist()
+    assert snap == sorted(result.hypothesis.boundaries)
 
 
 def test_eq3_literal_sign_changes_behavior():

@@ -23,7 +23,7 @@ from oracles import oracle_prf, reference_rho, reference_ranks
 def test_fixture_table(case, tmp_path):
     text, hyp, expected = CASES[case]
     corpus, gold = make_corpus(text, tmp_path=tmp_path)
-    hyp = set(hyp) | corpus.block_edges()
+    hyp = set(hyp) | set(corpus.block_edges().tolist())
     report = evaluate_segmentation(corpus, gold, hyp)
     for level, prf in (("token", report.token), ("boundary", report.boundary),
                        ("lexicon", report.lexicon)):
@@ -51,7 +51,9 @@ def test_all_levels_100_iff_boundaries_identical(tmp_path):
 
 def test_boundary_symmetry(tmp_path):
     corpus, gold = make_corpus("ab c de\n", tmp_path=tmp_path)
-    hyp = corpus.word_starts({1, 2, 5})
+    with pytest.raises(ValueError, match="position 5 outside 1..4"):
+        corpus.word_starts({1, 2, 5})  # 5 = n_chars is no boundary
+    hyp = corpus.word_starts({1, 2})
     ref = corpus.word_starts(gold.boundaries)
     fwd = boundary_prf(hyp, ref, corpus.offsets)
     rev = boundary_prf(ref, hyp, corpus.offsets)
