@@ -6,10 +6,11 @@ compression would cause to
     nll(unigram ML) + sign * (types/2) * ln N + penalty
 
 and applies the minimizer while it is negative.  Candidates are the
-candidate index's n-gram ids.  One vectorized function scores them all
-each iteration, with ``x ln x`` read from a table that equals the scalar
-formula bit for bit, so every score is the same float whichever path asks
-for it and exact ties fall to the largest count, then the first position.
+candidate index's n-gram ids.  One vectorized formula scores them, with
+``x ln x`` read from a table that equals the scalar formula bit for bit,
+so every score is the same float whichever path asks for it and exact
+ties fall to the largest count, then the first position.  A merge
+rescores only the ids that hold a token whose count it changed.
 """
 
 from __future__ import annotations
@@ -180,18 +181,26 @@ class LearnerState:
         self._g = (_cost_table(params.kind, seq.n_chars) if params.beta
                    else None)
         self._gl = np.zeros(0, np.float64)
+        self._part = np.zeros(0, np.float64)  # scores less the total term
+        # tokens whose counts changed since the last _scores: all, at first
+        self._touched = np.arange(len(seq.counts))
         self._sync()
 
     def _sync(self) -> None:
-        """Flush the index's births; if beta > 0, fill their beta length
-        term g(whole) - (g(l0) + g(l1) + ...), summed in token order."""
-        born = self.index.consume_dirty()[1]
+        """Flush the index's frees and births: a freed id's cached score
+        turns inf; if beta > 0, fill the born ids' beta length term
+        g(whole) - (g(l0) + g(l1) + ...), summed in token order."""
+        freed, born = self.index.consume_dirty()
+        index = self.index
+        grow = len(index.m) - len(self._part)
+        if grow > 0:
+            self._part = np.pad(self._part, (0, grow))
+        self._part[freed] = np.inf
         if not self.params.beta:
             return
-        index = self.index
         if len(self._gl) < len(index.m):
             self._gl = np.pad(self._gl, (0, len(index.m) - len(self._gl)))
-        lens = self.seq.lengths[index.comp[:, born]]
+        lens = self.seq.lengths[index.comp.take(born, 1)]
         lens[np.arange(index.n_max)[:, None] >= index.order[born]] = 0
         parts = 0.0
         for gl in self._g[lens]:
@@ -208,29 +217,50 @@ class LearnerState:
         added in the same order, and ``x ln x`` comes from one table, so an
         id's score does not depend on which other ids are scored with it.
         Free ids score inf.
+
+        Each id's score less the total term, ``xlx[total - m(n-1)] -
+        xlx[total]``, is kept in ``_part``; only the total term is added
+        over all ids.  Its other inputs are its tokens' counts, its ``m``
+        and columns fixed at birth.  A merge changes the counts of its
+        tokens and the fresh one only, and ``m`` only of ids that hold one
+        of those.  So only the live ids holding such a token are
+        refreshed, by the same operations in the same order, and every
+        float is the one a full rescoring gives; ``_sync`` sets a freed
+        id's part to inf.  Padding slots hold token 0: merging it
+        refreshes more ids than needed, never fewer.
         """
         index = self.index
         xlx = self._xlx
-        counts = self.seq.counts
         rows = slice(0, index.size)
-        m = index.m[rows]
-        n = index.order[rows]
+        mark = np.zeros(len(self.seq.counts), bool)
+        mark[self._touched] = True
+        self._touched = self._touched[:0]
+        stale = mark[index.comp[0, rows]]
+        for ids in index.comp[1:, rows]:
+            stale |= mark[ids]
+        stale = np.flatnonzero(stale)
+        live = stale[index.order[stale] > 0]  # free ids stay inf
+        m = index.m[live]
+        mult = index.mult.take(live, 1)
+        c = self.seq.counts[index.comp.take(live, 1)]
+        c2 = c - m * mult
         acc = 0.0
+        for d in xlx[c2] - xlx[c]:      # in slot order
+            acc = acc + d
         lost = 0                        # components whose count drops to 0
-        for ids, mult in zip(index.comp[:, rows], index.mult[:, rows]):
-            c = counts[ids]
-            c2 = c - m * mult
-            acc = acc + (xlx[c2] - xlx[c])
-            lost = lost + ((c2 == 0) & (mult > 0))
+        for z in (c2 == 0) & (mult > 0):
+            lost = lost + z
         out = -acc - xlx[m] + self._sign * 0.5 * (1 - lost) * self._ln_n
         p = self.params
         if p.alpha:
-            out += p.alpha * m * (n - 1)
+            out += p.alpha * m * (index.order[live] - 1)
         if p.beta:
-            out += p.beta * m * self._gl[rows]
+            out += p.beta * m * self._gl[live]
+        self._part[live] = out
+        m = index.m[rows]
         total = self.seq.total
-        out += xlx[total - m * (n - 1)] - xlx[total]
-        return np.where(m > 0, out, np.inf)
+        return self._part[rows] + (xlx[total - m * (index.order[rows] - 1)]
+                                   - xlx[total])
 
     def _select(self) -> tuple[float, int] | None:
         """Exact minimizer's (score, id): lowest score, then largest m,
@@ -254,6 +284,7 @@ class LearnerState:
         cd = self.index.apply(i, self.lex)
         self.objective += delta
         self.iteration += 1
+        self._touched = np.concatenate((self._touched, t, [cd.fresh_id]))
         self._sync()
         return CompressionEvent(self.iteration, t, cd.fresh_id,
                                 cd.occurrences, delta, self.objective)

@@ -77,15 +77,20 @@ def random_gold_text(rng: random.Random, n_chars: int, alphabet: int,
     return "\n".join(lines) + "\n"
 
 
+def synthetic():
+    """The corpus generators' module, ``scripts/benchmark_synthetic.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_synthetic", SCRIPTS / "benchmark_synthetic.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def benchmark_corpus(path: Path, n_lines: int):
     """Write the benchmark generator's corpus,
     ``scripts/benchmark_synthetic.build_corpus(path, n_lines, 400, 99)``,
     and load it as a gold corpus."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_synthetic", SCRIPTS / "benchmark_synthetic.py")
-    synthetic = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synthetic)
-    synthetic.build_corpus(path, n_lines, 400, 99)
+    synthetic().build_corpus(path, n_lines, 400, 99)
     return load_gold(path, "brent")
 
 

@@ -353,6 +353,31 @@ def score_of(state, t):
     return float(state._scores()[i])
 
 
+def full_scores(state):
+    """Every id's score below ``index.size``, by the learner's formula
+    recomputed over all of them at once, with no cached part: the table
+    ``_scores`` must equal bit for bit."""
+    index, xlx = state.index, state._xlx
+    rows = slice(0, index.size)
+    m, n = index.m[rows], index.order[rows]
+    acc, lost = 0.0, 0
+    for ids, mult in zip(index.comp[:, rows], index.mult[:, rows]):
+        c = state.seq.counts[ids]
+        c2 = c - m * mult
+        acc = acc + (xlx[c2] - xlx[c])
+        lost = lost + ((c2 == 0) & (mult > 0))
+    out = (-acc - xlx[m]
+           + state.options.complexity_sign * 0.5 * (1 - lost) * state._ln_n)
+    p = state.params
+    if p.alpha:
+        out += p.alpha * m * (n - 1)
+    if p.beta:
+        out += p.beta * m * state._gl[rows]
+    total = state.seq.total
+    out += xlx[total - m * (n - 1)] - xlx[total]
+    return np.where(m > 0, out, np.inf)
+
+
 def check_objective(state, rel_tol=1e-6):
     """Assert the learner's running objective against a full recompute."""
     fresh = penalized_likelihood(state.seq, state.params,

@@ -19,8 +19,8 @@ from incseg.lexmodel import init_from_corpus
 from conftest import (benchmark_corpus, make_corpus, random_gold_text,
                       toy_text)
 from oracles import (apply_compression, boundaries, check_objective,
-                     count_occurrences, id_of, length_cost, ngram_stats,
-                     score_of, verify_sequence)
+                     count_occurrences, full_scores, id_of, length_cost,
+                     ngram_stats, score_of, verify_sequence)
 
 
 def state_for(text, params=None, options=None):
@@ -459,6 +459,56 @@ def test_step_takes_exact_tie_broken_minimum(seed, n_max):
             break
         assert (ev.delta, -ev.occurrences, ev.token) == (
             best[0], best[1], best[3])
+
+
+RUN_WORDS = ("aaaa", "abab", "aabaab", "aab", "bababa", "aaaaaa", "ccc",
+             "cdcd")
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4), st.booleans(),
+       st.booleans(), st.sampled_from(PENALTY_KINDS))
+@settings(max_examples=40, deadline=None)
+def test_cached_scores_equal_a_full_rescoring(seed, n_max, runs, penalized,
+                                              kind):
+    """After init and after every step, the table ``_scores`` builds from
+    its cached parts equals the formula over every id bit for bit, on
+    random corpora and on runs of self-overlapping n-grams, with and
+    without a penalty; a second call with no merge between gives it
+    again."""
+    rng = random.Random(seed)
+    if runs:
+        text = "".join(" ".join(rng.choices(RUN_WORDS, k=rng.randint(1, 5)))
+                       + "\n" for _ in range(rng.randint(3, 15)))
+    else:
+        text = random_gold_text(rng, rng.randint(30, 160), rng.randint(2, 5),
+                                n_types=rng.randint(3, 12))
+    corpus, _ = make_corpus(text)
+    ab = [round(rng.uniform(0.01, 0.4), 2) for _ in range(2)]
+    params = PenaltyParams(*ab, kind) if penalized else PenaltyParams()
+    state = init_state(corpus, params, LearnerOptions(n_max=n_max))
+    while True:
+        scores = state._scores()
+        assert np.array_equal(scores, full_scores(state)), state.iteration
+        assert np.array_equal(state._scores(), scores), state.iteration
+        if step(state) is None:
+            break
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_cached_scores_survive_merging_token_zero(n_max):
+    """Token 0 also pads every short id's columns: merging it refreshes
+    those ids too, and the table still equals a full rescoring."""
+    text = "aaaa abab aabaab\naab aaaa bababa\n" * 6 + "aaaaaa ccc cdcd\n"
+    corpus, _ = make_corpus(text)
+    state = init_state(corpus, PenaltyParams(), LearnerOptions(n_max=n_max))
+    merged = set()
+    while True:
+        assert np.array_equal(state._scores(), full_scores(state))
+        ev = step(state)
+        if ev is None:
+            break
+        merged.update(ev.token)
+    assert 0 in merged and state.iteration > 3
 
 
 @pytest.mark.parametrize("kind", PENALTY_KINDS)
