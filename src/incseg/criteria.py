@@ -49,6 +49,8 @@ class SegmentedText:
     a word that closes an order-m gram in its block, m <= n largest, has
     that gram's count over its history's count (m = 1: its type's count
     over the total).  ``k[n]`` is the number of distinct order-n grams.
+    Each type is some word's, so every type count is at least 1, and the
+    words tile the corpus, so ``n_chars`` is the corpus'.
     """
 
     def __init__(self, corpus: RawCorpus, boundaries: Iterable[int]):
@@ -64,7 +66,7 @@ class SegmentedText:
         self.type_lengths, self.type_chars = lens, corpus.codes[spelled]
         self.symbols = corpus.chars
         self.type_counts = np.bincount(tid, minlength=n_types)
-        self.n_chars = int(self.type_counts @ lens)
+        self.n_chars = corpus.n_chars
         a, b = self.type_counts[tid], np.full(self.total, self.total)
         self.terms, self.k = {}, {}
         gram = tid  # id of the order-(n-1) gram each word closes
@@ -89,8 +91,7 @@ def neg_log_likelihood(st: SegmentedText, n: int) -> float:
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2, or 3")
     if n == 1:
-        return fsum(-c * log(c / st.total) for c in st.type_counts.tolist()
-                    if c > 0)
+        return fsum(-c * log(c / st.total) for c in st.type_counts.tolist())
     a, b = st.terms[n]
     key, mult = np.unique(a * (st.total + 1) + b, return_counts=True)
     terms = [-log(x / y) for x, y in zip((key // (st.total + 1)).tolist(),
@@ -99,20 +100,15 @@ def neg_log_likelihood(st: SegmentedText, n: int) -> float:
 
 
 def codebook_length(st: SegmentedText) -> float:
-    """Cost of transmitting all active word surfaces character-by-character.
+    """Cost of transmitting every word type's surface character-by-character.
 
-    Characters, plus one end-of-word mark (a symbol of its own) per entry,
+    Characters, plus one end-of-word mark (a symbol of its own) per type,
     are coded by their ML distribution over the concatenated surfaces; only
     a word's presence in the lexicon matters, not its multiplicity.
     """
-    active = st.type_counts > 0
-    entries = int(active.sum())
-    if entries == 0:
-        return 0.0
     mark = len(st.symbols)
-    sym = np.bincount(st.type_chars[np.repeat(active, st.type_lengths)],
-                      minlength=mark + 1)
-    sym[mark] += entries
+    sym = np.bincount(st.type_chars, minlength=mark + 1)
+    sym[mark] += len(st.type_lengths)
     z = int(sym.sum())
     return -fsum(c * log(c / z) for c in sym.tolist() if c > 0)
 
@@ -120,21 +116,20 @@ def codebook_length(st: SegmentedText) -> float:
 def evaluate(st: SegmentedText) -> dict[str, CriterionValue]:
     """All six criteria in ``CRITERIA`` order, with N = st.n_chars.
 
-    With L the sum over active word types of (1 + |w|) and k_n the number
+    With L the sum over word types of (1 + |w|) and k_n the number
     of distinct n-gram types, AICc charges k = L + k_1 at order 1 and
     L + 1 + 2 k_n above it, with the correction N k / (N - k - 1) (+inf when
     N - k - 1 <= 0); MDL charges (k_n / 2) ln N plus the codebook length.
     Both families of an order share its likelihood and k_n.
     """
     big_n = st.n_chars
-    active = st.type_counts > 0
-    n_active = int(active.sum())
-    lexicon = n_active + int(st.type_lengths[active].sum())
+    n_types = len(st.type_lengths)
+    lexicon = n_types + int(st.type_lengths.sum())
     cbl = codebook_length(st)
     aic, mdl = [], []
     for n in (1, 2, 3):
         nll = neg_log_likelihood(st, n)
-        k_n = n_active if n == 1 else st.k[n]
+        k_n = n_types if n == 1 else st.k[n]
         k = lexicon + k_n if n == 1 else lexicon + 1 + 2 * k_n
         if big_n - k - 1 <= 0:
             aic.append(CriterionValue(f"aic{n}", math.inf, nll, k, math.inf))

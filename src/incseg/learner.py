@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import criteria as _criteria
+from . import metrics as _metrics
 from .corpus import GoldSegmentation, RawCorpus
 from .lexmodel import (CandidateIndex, Lexicon, TokenSequence, TokenTuple,
                        init_from_corpus)
@@ -101,7 +103,6 @@ class SegmentationHypothesis:
     """A finished (or traced) segmentation over a corpus' character stream."""
 
     boundaries: frozenset[int]
-    n_chars: int
     seq: TokenSequence | None = None
     lexicon: Lexicon | None = None
 
@@ -172,7 +173,6 @@ class LearnerState:
         self.lex = lex
         self.params = params
         self.iteration = 0
-        self.trace: list[TraceRecord] = []
         self.index = CandidateIndex(seq, self.options.n_max)
         self._ln_n = log(seq.n_chars)
         self._sign = self.options.complexity_sign
@@ -293,7 +293,7 @@ class LearnerState:
         """The segmentation now: every live position but 0 is a boundary."""
         live = np.flatnonzero(self.seq.tok >= 0)
         return SegmentationHypothesis(frozenset(live[1:].tolist()),
-                                      self.seq.n_chars, self.seq, self.lex)
+                                      self.seq, self.lex)
 
 
 def init_state(corpus: RawCorpus, params: PenaltyParams,
@@ -327,6 +327,7 @@ def run(corpus: RawCorpus, params: PenaltyParams,
     gold_starts = (corpus.word_starts(gold.boundaries)
                    if gold is not None and options.trace_mode == "criteria"
                    else None)
+    trace: list[TraceRecord] = []
     stopped = "converged"
     while True:
         if options.stop_at is not None and state.iteration >= options.stop_at:
@@ -337,13 +338,13 @@ def run(corpus: RawCorpus, params: PenaltyParams,
             break
         if (options.trace_mode != "none"
                 and ev.iteration % options.trace_interval == 0):
-            state.trace.append(_trace_record(state, corpus, gold_starts))
+            trace.append(_trace_record(state, corpus, gold_starts))
     if options.trace_mode != "none" and (
-            not state.trace or state.trace[-1].iteration != state.iteration):
-        state.trace.append(_trace_record(state, corpus, gold_starts))
+            not trace or trace[-1].iteration != state.iteration):
+        trace.append(_trace_record(state, corpus, gold_starts))
     hyp = state.hypothesis()
     return RunResult(hyp, state.iteration, stopped, state.objective,
-                     state.trace, time.perf_counter() - t0)
+                     trace, time.perf_counter() - t0)
 
 
 def _trace_record(state: LearnerState, corpus: RawCorpus,
@@ -354,15 +355,13 @@ def _trace_record(state: LearnerState, corpus: RawCorpus,
         objective=state.objective,
         n_tokens=seq.total,
         n_types=seq.n_types(),
-        n_boundaries=seq.total - 1 if seq.total else 0,
+        n_boundaries=seq.total - 1,
     )
     opts = state.options
     starts = np.flatnonzero(seq.tok >= 0)  # word starts, 0 always one
     if opts.trace_boundaries:
         rec.boundaries = starts[1:]
     if opts.trace_mode == "criteria":
-        from . import criteria as _criteria
-        from . import metrics as _metrics
         vals = _criteria.evaluate_boundaries(corpus, starts[1:])
         rec.criteria = {cid: cv.value for cid, cv in vals.items()}
         if gold_starts is not None:

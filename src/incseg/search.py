@@ -117,20 +117,16 @@ def load_boundaries(path: Path) -> np.ndarray:
 
 
 # The arguments every cell of a grid shares, (corpus, gold, options,
-# out_dir), set in each pool worker by the fork initializer.
+# out_dir): ``run_grid`` sets them before any cell runs and clears them
+# when it returns; pool workers are forked, so they inherit them.
 _WORK: dict = {}
 
 
-def _init_worker(work: tuple) -> None:
-    _WORK["work"] = work
-
-
-def _run_cell(cell: tuple[str, float, float],
-              work: tuple | None = None) -> dict:
+def _run_cell(cell: tuple[str, float, float]) -> dict:
     """One cell's ledger row, or an error row if the cell failed."""
     kind, alpha, beta = cell
     try:
-        return _execute_cell(*(work or _WORK["work"]), kind, alpha, beta)
+        return _execute_cell(*_WORK["work"], kind, alpha, beta)
     except Exception as e:  # recorded per-cell; the grid keeps going
         return {"error": f"{type(e).__name__}: {e}", "penalty": kind,
                 "alpha": alpha, "beta": beta}
@@ -281,19 +277,18 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
         ledger.flush()
         done[(row["penalty"], row["alpha"], row["beta"])] = RunRecord(**row)
 
-    work = (corpus, gold, options, out)
     ledger = ledger_path.open("a", encoding="utf-8")
+    _WORK["work"] = (corpus, gold, options, out)
     try:
         if jobs <= 1 or len(todo) <= 1:
             for cell in todo:
-                _record(_run_cell(cell, work))
+                _record(_run_cell(cell))
         else:
-            ctx = get_context("fork")
-            with ctx.Pool(min(jobs, len(todo)), initializer=_init_worker,
-                          initargs=(work,)) as pool:
+            with get_context("fork").Pool(min(jobs, len(todo))) as pool:
                 for row in pool.imap_unordered(_run_cell, todo):
                     _record(row)
     finally:
+        _WORK.clear()
         ledger.close()
     # failed cells stay out of the ledger, so a resume retries them
     return [done[c] for c in spec.cells() if c in done]
@@ -302,8 +297,6 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
 def select_family_minimum(records: Sequence[RunRecord],
                           criterion: str) -> RunRecord:
     """The run minimizing one criterion; ties broken by (alpha, beta)."""
-    if not records:
-        raise ValueError("no records")
     return select_top_k(records, criterion, 1)[0]
 
 

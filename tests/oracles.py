@@ -18,7 +18,7 @@ from math import fsum, log
 import numpy as np
 
 from incseg.corpus import CorpusError
-from incseg.learner import penalized_likelihood
+from incseg.learner import _cost_table, penalized_likelihood
 
 
 # -- the corpus, parsed in two passes over strings ---------------------------
@@ -355,8 +355,9 @@ def score_of(state, t):
 
 def full_scores(state):
     """Every id's score below ``index.size``, by the learner's formula
-    recomputed over all of them at once, with no cached part: the table
-    ``_scores`` must equal bit for bit."""
+    recomputed over all of them at once, with no cached part and the beta
+    length term rebuilt from the ids' tokens: the table ``_scores`` must
+    equal bit for bit."""
     index, xlx = state.index, state._xlx
     rows = slice(0, index.size)
     m, n = index.m[rows], index.order[rows]
@@ -372,7 +373,13 @@ def full_scores(state):
     if p.alpha:
         out += p.alpha * m * (n - 1)
     if p.beta:
-        out += p.beta * m * state._gl[rows]
+        g = _cost_table(p.kind, state.seq.n_chars)
+        lens = state.seq.lengths[index.comp[:, rows]]
+        lens[np.arange(index.n_max)[:, None] >= n] = 0  # padding slots
+        parts = 0.0
+        for gl in g[lens]:              # in slot order
+            parts = parts + gl
+        out += p.beta * m * (g[lens.sum(0)] - parts)
     total = state.seq.total
     out += xlx[total - m * (n - 1)] - xlx[total]
     return np.where(m > 0, out, np.inf)

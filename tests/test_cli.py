@@ -177,7 +177,8 @@ def test_dump_lexicon(corpus_file, tmp_path):
 
 def test_config_file_defaults(corpus_file, tmp_path):
     cfg = tmp_path / "incseg.cfg"
-    cfg.write_text("alpha = 0.2\nbeta = 0.3\nstop-at = 3\n")
+    cfg.write_text("# learner\nalpha = 0.2\n\n  \nbeta = 0.3\n  # cap\n"
+                   "stop-at = 3\n")
     out = tmp_path / "seg.txt"
     rc = main(["segment", str(corpus_file), "--config", str(cfg),
                "--beta", "0.1", "--out", str(out)])

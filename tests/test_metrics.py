@@ -64,6 +64,9 @@ def test_out_of_range_boundary_rejected(tmp_path):
     corpus, gold = make_corpus("ab cd\n", tmp_path=tmp_path)
     with pytest.raises(ValueError, match="position 4 outside 1..3"):
         evaluate_segmentation(corpus, gold, {4})
+    _, other = make_corpus("abc de\n")
+    with pytest.raises(ValueError, match="disagree on character count"):
+        evaluate_segmentation(corpus, other, {2})
 
 
 def test_correct_count_bounded(tmp_path):

@@ -48,6 +48,9 @@ def test_parse_range():
     ((0.0, 0.5), (0.0, float("nan")), ("xlogx",)),
     ((0.0,), (0.0, float("inf")), ("xsquared",)),
     ((0.0,), (0.0,), ("cubic",)),
+    ((), (0.0,), ("xlogx",)),
+    ((0.0,), (), ("xlogx",)),
+    ((0.0,), (0.0,), ()),
 ])
 def test_grid_spec_rejects_bad_penalty(alphas, betas, kinds):
     with pytest.raises(ValueError):
@@ -357,9 +360,8 @@ def test_grid_pool_has_no_more_workers_than_cells(toy, tmp_path,
     class FakePool:
         """Runs the cells in this process, as ``imap_unordered`` would."""
 
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             started.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -383,6 +385,7 @@ def test_grid_pool_has_no_more_workers_than_cells(toy, tmp_path,
     ledger.write_text(lines[0], encoding="utf-8")
     assert len(run_grid(corpus, gold, spec, tmp_path / "g", jobs=8)) == 4
     assert started == [4, 3]
+    assert not search_mod._WORK  # the grid's inputs are not kept after it
 
 
 def test_select_family_minimum_and_ties(toy, tmp_path):
@@ -465,6 +468,8 @@ def test_heatmap_requires_gold_for_f(toy, tmp_path):
     with pytest.raises(ValueError):
         export_heatmap(records, "tokenF")
     export_heatmap(records, "mdl2")  # criteria never need gold
+    with pytest.raises(ValueError, match="unknown quantity 'foo'"):
+        export_heatmap(records, "foo")
 
 
 def test_correlation_rows_need_gold_and_a_trace(toy, tmp_path):
@@ -474,6 +479,8 @@ def test_correlation_rows_need_gold_and_a_trace(toy, tmp_path):
         correlation_rows(tmp_path / "g", "outputs")
     with pytest.raises(RuntimeError, match="no traced snapshots found"):
         correlation_rows(tmp_path / "g", "trace")
+    with pytest.raises(RuntimeError, match="no records in"):
+        correlation_rows(tmp_path / "empty", "outputs")
 
 
 def test_staged_search(toy, tmp_path):
