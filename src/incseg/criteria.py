@@ -1,24 +1,23 @@
 """Information-criterion scoring of finished segmentations.
 
-A hypothesis is scored from its word table over the corpus' character
-codes: word starts, block-start flags and exact type ids, one per distinct
-row of character codes (``RawCorpus.type_words``), however the learner's
-lexicon composed the word.  Each distinct likelihood term is computed once
-and ``fsum``, which is correctly rounded, adds it as often as it occurs.
-All values are in nats; ``in_bits`` rescales for display.
+A hypothesis is scored from its word table, built per call from boundaries
+(``SegmentedText``) or from a learner's tokens (``from_tokens``); no value
+depends on how the types are numbered, so both give the same floats.  Each
+distinct likelihood term is computed once, ``repeated_fsum`` adds its
+repeats exactly, and all values are in nats (``in_bits`` rescales them).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import fsum, log
 from typing import Iterable
 
 import numpy as np
 
 from .corpus import RawCorpus
+from .lexmodel import Lexicon, TokenSequence
 
 CRITERIA = ("aic1", "aic2", "aic3", "mdl1", "mdl2", "mdl3")
 
@@ -54,12 +53,34 @@ class SegmentedText:
     """
 
     def __init__(self, corpus: RawCorpus, boundaries: Iterable[int]):
-        """Words between the boundaries inside blocks and the block edges."""
+        """Words between the boundaries and block edges, typed by codes."""
         starts = corpus.word_starts(boundaries)
-        lengths = np.diff(starts, append=corpus.n_chars)
-        tid, rep = corpus.type_words(starts, lengths)
-        first = np.isin(starts, corpus.offsets)
-        lens = lengths[rep]
+        self._tabulate(corpus, starts, *corpus.type_words(
+            starts, np.diff(starts, append=corpus.n_chars)))
+
+    @classmethod
+    def from_tokens(cls, corpus: RawCorpus, seq: TokenSequence,
+                    lex: Lexicon) -> SegmentedText:
+        """The live tokens of a learner's ``seq`` over ``corpus`` as words,
+        typed by their surface ids ``lex.type_of``, renumbered densely."""
+        starts = np.flatnonzero(seq.tok >= 0)
+        sid = np.asarray(lex.type_of)[seq.tok[starts]]
+        present = np.zeros(len(lex.type_of), bool)
+        present[sid] = True
+        tid = (np.cumsum(present) - 1)[sid]
+        rep = np.empty(np.count_nonzero(present), np.int64)
+        rep[tid] = np.arange(len(tid))  # any one word of each type
+        st = cls.__new__(cls)
+        st._tabulate(corpus, starts, tid, rep)
+        return st
+
+    def _tabulate(self, corpus: RawCorpus, starts: np.ndarray,
+                  tid: np.ndarray, rep: np.ndarray) -> None:
+        """Words at ascending ``starts`` typed ``tid``; rep[t] spells t."""
+        edge = np.zeros(corpus.n_chars, bool)
+        edge[corpus.offsets] = True
+        first = edge[starts]
+        lens = np.append(starts, corpus.n_chars)[rep + 1] - starts[rep]
         spelled = np.arange(lens.sum()) + np.repeat(
             starts[rep] - np.cumsum(lens) + lens, lens)
         n_types, self.total = len(lens), len(tid)
@@ -74,15 +95,27 @@ class SegmentedText:
         for n in (2, 3):
             closes = np.concatenate(([False], closes[:-1])) & ~first
             at = np.flatnonzero(closes)
-            code = gram[at - 1] * n_types + tid[at]
-            _, gram_at, count = np.unique(code, return_inverse=True,
+            hist = gram[at - 1]
+            _, gram_at, count = np.unique(hist * n_types + tid[at],
+                                          return_inverse=True,
                                           return_counts=True)
-            hist = code // n_types
             a, b = a.copy(), b.copy()
             a[at], b[at] = count[gram_at], np.bincount(hist)[hist]
             self.terms[n], self.k[n] = (a, b), len(count)
             gram = np.zeros(self.total, np.int64)
             gram[at] = gram_at
+
+
+def repeated_fsum(terms: np.ndarray, counts: np.ndarray) -> float:
+    """``fsum`` of each of ``terms`` taken its int64 ``counts`` (< 2**53)
+    times.  Veltkamp's split gives a term two parts of <= 26 significant
+    bits, a count cut at bit 26 has parts of <= 27 and 26 bits, so the four
+    products are exact and sum to term * count; ``fsum`` rounds them once."""
+    c = terms * (2.0**27 + 1)
+    hi = c - (c - terms)
+    low = counts & (2**26 - 1)
+    parts = np.stack((hi, terms - hi))[:, None] * np.stack((counts - low, low))
+    return fsum(parts[parts != 0].tolist())
 
 
 def neg_log_likelihood(st: SegmentedText, n: int) -> float:
@@ -94,9 +127,9 @@ def neg_log_likelihood(st: SegmentedText, n: int) -> float:
         return fsum(-c * log(c / st.total) for c in st.type_counts.tolist())
     a, b = st.terms[n]
     key, mult = np.unique(a * (st.total + 1) + b, return_counts=True)
-    terms = [-log(x / y) for x, y in zip((key // (st.total + 1)).tolist(),
-                                         (key % (st.total + 1)).tolist())]
-    return fsum(chain.from_iterable(map(repeat, terms, mult.tolist())))
+    ratio = (key // (st.total + 1) / (key % (st.total + 1))).tolist()
+    return repeated_fsum(-np.fromiter(map(log, ratio), float, len(ratio)),
+                         mult)
 
 
 def codebook_length(st: SegmentedText) -> float:

@@ -362,7 +362,8 @@ def _trace_record(state: LearnerState, corpus: RawCorpus,
     if opts.trace_boundaries:
         rec.boundaries = starts[1:]
     if opts.trace_mode == "criteria":
-        vals = _criteria.evaluate_boundaries(corpus, starts[1:])
+        vals = _criteria.evaluate(
+            _criteria.SegmentedText.from_tokens(corpus, seq, state.lex))
         rec.criteria = {cid: cv.value for cid, cv in vals.items()}
         if gold_starts is not None:
             rec.token_f = _metrics.token_prf(

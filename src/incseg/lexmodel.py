@@ -26,16 +26,20 @@ class LexEntry:
 
 class Lexicon:
     """Token id -> definition: the base characters, then the composed ids in
-    the order the compressions happened."""
+    the order the compressions happened; ``type_of[t]`` numbers token t's
+    surface in order of first definition, so (ab)c and a(bc) share one."""
 
     def __init__(self, chars: Iterable[str] = ()) -> None:
         self.entries: list[LexEntry] = [LexEntry(ch) for ch in chars]
+        self._types = {e.surface: t for t, e in enumerate(self.entries)}
+        self.type_of = list(range(len(self.entries)))  # chars are distinct
 
     def define(self, components: TokenTuple, surface: str) -> int:
         if len(components) < 2:
             raise ValueError("composed entry needs >= 2 components")
         tid = len(self.entries)
         self.entries.append(LexEntry(surface, tuple(components)))
+        self.type_of.append(self._types.setdefault(surface, len(self._types)))
         return tid
 
     def surface(self, tid: int) -> str:

@@ -153,8 +153,10 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
         _learner.write_trace(result.trace, out_dir / trace_rel)
     else:
-        crit = {cid: cv.value for cid, cv in
-                _criteria.evaluate_boundaries(corpus, bounds).items()}
+        hyp = result.hypothesis
+        crit = {cid: cv.value for cid, cv in _criteria.evaluate(
+            _criteria.SegmentedText.from_tokens(corpus, hyp.seq,
+                                                hyp.lexicon)).items()}
     metrics = None
     if gold is not None:
         metrics = _metrics.evaluate_segmentation(corpus, gold, bounds).as_dict()

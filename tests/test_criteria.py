@@ -3,6 +3,8 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import chain, repeat
 from math import fsum, log
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 
 from incseg.criteria import (CRITERIA, SegmentedText, codebook_length,
                              evaluate, evaluate_boundaries, in_bits,
-                             neg_log_likelihood)
-from incseg.learner import LearnerOptions, PenaltyParams, run
+                             neg_log_likelihood, repeated_fsum)
+from incseg.learner import (LearnerOptions, LearnerState, PenaltyParams, run,
+                            step)
 from incseg.lexmodel import init_from_corpus
 
 from conftest import benchmark_corpus, make_corpus, random_gold_text
@@ -268,6 +271,84 @@ def test_surface_canonicalization_merges_duplicate_types():
     assert SegmentedText(corpus, bounds).type_counts.tolist() == [1, 2]
     assert (_fields(evaluate_boundaries(corpus, bounds))
             == oracle_criteria(corpus, bounds))
+
+
+# -- the token feed ----------------------------------------------------------
+
+
+def assert_feeds_agree(corpus, seq, lex):
+    """The learner's table of ``seq`` and the boundary table of its live
+    positions give the same counts and the same six values."""
+    want = SegmentedText(corpus, np.flatnonzero(seq.tok >= 0)[1:])
+    got = SegmentedText.from_tokens(corpus, seq, lex)
+    assert (got.total, got.k) == (want.total, want.k)
+    assert sorted(got.type_counts.tolist()) == sorted(
+        want.type_counts.tolist())
+    assert evaluate(got) == evaluate(want)
+
+
+def assert_every_snapshot_agrees(corpus, state):
+    assert_feeds_agree(corpus, state.seq, state.lex)
+    while step(state) is not None:
+        assert_feeds_agree(corpus, state.seq, state.lex)
+
+
+@given(st.integers(0, 100_000), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_token_feed_matches_boundary_feed_at_every_snapshot(seed, n_max):
+    rng = random.Random(seed)
+    text = random_gold_text(rng, rng.randint(30, 200), rng.randint(2, 4))
+    corpus, _ = make_corpus(text)
+    params = PenaltyParams(rng.choice((0.0, 0.1)), rng.choice((0.0, 0.1)),
+                           rng.choice(("xlogx", "xsquared")))
+    # the literal sign rewards types, so most runs merge dozens of times
+    options = LearnerOptions(n_max=n_max, complexity_sign=rng.choice((1, -1)))
+    assert_every_snapshot_agrees(corpus, LearnerState(
+        *init_from_corpus(corpus), params, options))
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_token_feed_types_two_compositions_as_one(n_max):
+    # "abc" as (ab)c and as a(bc), live side by side, then a learner run on
+    corpus, _ = make_corpus("abcabc d\nabc abcd\nd abc\n")
+    seq, lex = init_from_corpus(corpus)
+    merge_at(seq, lex, [0, 1])  # ab
+    merge_at(seq, lex, [0, 2])  # (ab)c
+    merge_at(seq, lex, [4, 5])  # bc
+    merge_at(seq, lex, [3, 4])  # a(bc)
+    tok = seq.tok.tolist()
+    assert tok[0] != tok[3] and lex.type_of[tok[0]] == lex.type_of[tok[3]]
+    assert_every_snapshot_agrees(corpus, LearnerState(
+        seq, lex, PenaltyParams(), LearnerOptions(n_max=n_max)))
+
+
+# -- the exact repeated sum --------------------------------------------------
+
+
+def _random_terms(rng, k):
+    """Likelihood-like terms, some of them 0.0."""
+    return [rng.choice((0.0, -log(rng.random()), rng.uniform(0, 40)))
+            for _ in range(k)]
+
+
+def test_repeated_fsum_is_fsum_of_the_repeats():
+    rng = random.Random(3)
+    for _ in range(500):
+        terms = _random_terms(rng, rng.randint(1, 8))
+        counts = [rng.randint(1, 40) for _ in terms]
+        assert repeated_fsum(np.array(terms), np.array(counts)) == fsum(
+            chain.from_iterable(map(repeat, terms, counts)))
+
+
+@pytest.mark.parametrize("big", [2**26 - 1, 2**26, 2**27 + 1, 2**40 + 3])
+def test_repeated_fsum_is_exact_for_large_counts(big):
+    # each product term * count must be exact: fsum(count * term) is not
+    rng = random.Random(big)
+    for _ in range(500):
+        terms = _random_terms(rng, rng.randint(1, 6))
+        counts = [rng.choice((big, rng.randint(1, big))) for _ in terms]
+        exact = float(sum(Fraction(t) * m for t, m in zip(terms, counts)))
+        assert repeated_fsum(np.array(terms), np.array(counts)) == exact
 
 
 # -- exhaustive enumerator oracle -------------------------------------------

@@ -286,20 +286,21 @@ def test_traced_cell_scores_final_boundaries_once(toy, tmp_path,
     import incseg.criteria as criteria_mod
     corpus, gold = toy
     calls = []
-    real = criteria_mod.evaluate_boundaries
+    real = criteria_mod.evaluate
 
-    def counted(corpus_, bounds, *args):
-        calls.append(frozenset(bounds))
-        return real(corpus_, bounds, *args)
+    def counted(st_):
+        calls.append(st_)
+        return real(st_)
 
-    monkeypatch.setattr(criteria_mod, "evaluate_boundaries", counted)
+    monkeypatch.setattr(criteria_mod, "evaluate", counted)
     spec = GridSpec((0.0,), (0.0,), ("xlogx",))
     rec, = run_grid(corpus, gold, spec, tmp_path / "g", trace=True)
     rows = (tmp_path / "g" / rec.trace_file).read_text().splitlines()
     assert len(calls) == len(rows)  # one per snapshot, none more
     bounds = load_boundaries(tmp_path / "g" / rec.boundary_file)
-    assert rec.criteria == {cid: cv.value
-                            for cid, cv in real(corpus, bounds).items()}
+    assert rec.criteria == {cid: cv.value for cid, cv in
+                            criteria_mod.evaluate_boundaries(
+                                corpus, bounds).items()}
 
 
 
