@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,10 +86,13 @@ class RawCorpus:
         """Block-given boundary positions, a view of ``offsets[1:]``."""
         return self.offsets[1:]
 
+    def _points(self) -> np.ndarray:
+        """The code point of every segmentable character, as uint32."""
+        return np.array([ord(c) for c in self.chars], np.uint32)[self.codes]
+
     def char_string(self) -> str:
         """All segmentable characters, concatenated across blocks."""
-        points = np.array([ord(c) for c in self.chars], np.uint32)
-        return points[self.codes].tobytes().decode("utf-32-le")
+        return self._points().tobytes().decode("utf-32-le")
 
     def word_starts(self, boundaries: Iterable[int]) -> np.ndarray:
         """First positions, ascending, of the words that the block edges
@@ -134,15 +136,16 @@ class RawCorpus:
 
     def render(self, boundaries: Iterable[int] = ()) -> str:
         """Reserialize, inserting one ASCII space at each boundary position."""
-        text = self.char_string()
         starts = self.word_starts(boundaries)
-        ends = np.append(starts[1:], len(text)).tolist()
-        words = [text[a:b] for a, b in zip(starts.tolist(), ends)]
-        firsts = np.searchsorted(starts, self.offsets).tolist()
+        firsts = np.searchsorted(starts, self.offsets)
+        text = np.insert(self._points(), np.delete(starts, firsts), 32)
+        text = text.tobytes().decode("utf-32-le")
+        # block i starts after the spaces inserted before it
+        cuts = (self.offsets + firsts - np.arange(len(firsts))).tolist()
         out = [self.separators[0]]
-        for a, b, sep in zip(firsts, firsts[1:] + [len(words)],
+        for a, b, sep in zip(cuts, cuts[1:] + [len(text)],
                              self.separators[1:]):
-            out += (" ".join(words[a:b]), sep)
+            out += (text[a:b], sep)
         return "".join(out)
 
 
@@ -174,58 +177,70 @@ def load_gold(
     Both supported formats are one utterance/passage per line with words
     separated by whitespace; ``brent`` additionally means one symbol per
     phoneme, which needs no special handling since characters are interned
-    per Unicode scalar.  A line without words joins the separator verbatim.
-    When ``hard_punct`` is given, its runs inside a line become hard block
-    separators and are dropped from the character stream; every word piece
-    they leave starts a gold word.  A callable ``hard_punct`` is given the
-    text's distinct non-space characters as one string and returns the
-    set, so that the file is read once.
+    per Unicode scalar.  The parse is a few array passes over the text's
+    code points.  A table by code point gives each character its id, -1
+    for whitespace and -2 for ``hard_punct``; a word is a run of ids >= 0,
+    and it starts a block when a line break or a mark lies between it and
+    the word before.  Marks are dropped from the character stream, and
+    every word piece they leave starts a gold word.  The separators keep
+    the marks, the line breaks and each line without words verbatim.  A
+    callable ``hard_punct`` gets the text's distinct non-space characters
+    as one string and returns the set, so that the file is read once.
     """
     if format not in ("brent", "sighan"):
         raise CorpusError(f"unknown format {format!r}")
     raw = Path(path).read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise CorpusError(f"{path}: invalid UTF-8 on line {line}: {e.reason}") from None
-    chars = [c for c in dict.fromkeys(text) if not c.isspace()]
+    del raw
+    pts = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+    del text
+    n = len(pts)
+    # each code point's first position, n where it is absent
+    table = np.full(int(pts.max(initial=0)) + 1, n, np.int32)
+    np.minimum.at(table, pts, np.arange(n, dtype=np.int32))
+    new = np.zeros(n, bool)
+    new[table[table < n]] = True
+    seen = pts[new]  # distinct code points, by first appearance
+    firsts = [chr(c) for c in seen.tolist()]
+    space = np.array([c.isspace() for c in firsts], bool)
+    chars = [c for c, s in zip(firsts, space) if not s]
     if not chars:
         raise CorpusError(f"{path}: empty corpus file")
     if callable(hard_punct):
         hard_punct = hard_punct("".join(chars))
-    # only characters that can occur inside a word can cut one
-    punct = "".join(c for c in hard_punct or () if len(c) == 1 and not c.isspace())
-    cut = re.compile(f"([{re.escape(punct)}]+)").split if punct else None
-    blocks: list[str] = []
-    lengths: list[int] = []  # of every word piece, in order
-    firsts: list[int] = []  # index in ``lengths`` of each block's first piece
-    seps: list[str] = []
-    sep = ""
-    for line in text.split("\n"):
-        if not line or line.isspace():
-            sep += line + "\n"
-            continue
-        for k, piece in enumerate(cut(line) if cut else (line,)):
-            if k % 2:  # a punctuation run
-                sep += piece
-            elif ws := piece.split():
-                seps.append(sep)
-                sep = ""
-                firsts.append(len(lengths))
-                lengths += map(len, ws)
-                blocks.append("".join(ws))
-        sep += "\n"
-    seps.append(sep[:-1])  # the last line ends without a newline
-    if not blocks:
+    punct = set(hard_punct or ())
+    ids = np.cumsum(~space) - 1
+    ids[[c in punct for c in firsts]] = -2
+    ids[space] = -1
+    table[seen] = ids
+    cid = table[pts]
+    newline = pts == 10
+    # a line without words keeps its whitespace; others keep only marks
+    lines = np.append(0, np.flatnonzero(newline) + 1)
+    blank = ~np.logical_or.reduceat(np.append(cid != -1, False), lines)
+    kept = np.repeat(blank, np.diff(lines, append=n)) | newline | (cid == -2)
+    seps = pts[kept].tobytes().decode("utf-32-le")
+    del pts, newline
+    word = cid >= 0
+    codes = cid[word].astype(np.int64)
+    del cid
+    edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
+    if not len(edges):
         raise CorpusError("corpus is entirely punctuation")
-    starts = np.cumsum(lengths) - lengths
-    points = np.array([ord(c) for c in chars], np.uint32)
-    by_point = np.argsort(points)
-    kept = np.frombuffer("".join(blocks).encode("utf-32-le"), np.uint32)
-    codes = by_point[np.searchsorted(points[by_point], kept)]
-    corpus = RawCorpus(codes, starts[firsts], chars, seps,
-                       hashlib.sha256(raw).hexdigest())
+    starts, ends = edges[::2], edges[1::2]
+    # kept characters before the first word, after each one and after the
+    # last; they lie only between blocks, so each block opens a separator
+    gaps = np.add.reduceat(np.append(kept, False), np.append(0, ends))
+    first = np.append(True, gaps[1:-1] > 0)
+    cuts = np.cumsum(gaps)[np.append(first, True)].tolist()
+    seps = [seps[a:b] for a, b in zip([0, *cuts], cuts)]
+    starts = np.append(0, np.cumsum(ends - starts)[:-1])
+    corpus = RawCorpus(codes, starts[first], chars, seps, digest)
     return corpus, GoldSegmentation(starts[1:], len(codes))
 
 

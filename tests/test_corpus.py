@@ -112,6 +112,27 @@ def test_leading_punctuation_run(tmp_path):
     assert corpus.separators[0] == "。。"
 
 
+def test_hard_punct_absent_from_the_text_cuts_nothing(tmp_path):
+    # "。" lies below the text's largest code point, the last two above it
+    text = "ab，cd e\n"
+    want, want_gold = make_corpus(text, tmp_path=tmp_path, hard_punct={"，"})
+    absent = {"，", "。", "\U00010100", "\U0010ffff"}
+    for punct in (absent, lambda chars: absent):
+        corpus, gold = make_corpus(text, tmp_path=tmp_path, hard_punct=punct)
+        assert corpus.codes.tolist() == want.codes.tolist()
+        assert corpus.offsets.tolist() == want.offsets.tolist() == [0, 2]
+        assert corpus.chars == want.chars
+        assert corpus.separators == want.separators
+        assert gold.boundaries.tolist() == want_gold.boundaries.tolist()
+    plain, plain_gold = make_corpus("ab cd\n", tmp_path=tmp_path)
+    for punct in (absent, lambda chars: absent):
+        corpus, gold = make_corpus("ab cd\n", tmp_path=tmp_path,
+                                   hard_punct=punct)
+        assert corpus.codes.tolist() == plain.codes.tolist()
+        assert corpus.separators == plain.separators == ["", "\n"]
+        assert gold.boundaries.tolist() == plain_gold.boundaries.tolist()
+
+
 def test_hard_boundary_preserves_characters(tmp_path):
     text = "a，b c。\nd e f\n"
     plain, _ = make_corpus(text, tmp_path=tmp_path)
@@ -223,8 +244,12 @@ def test_roundtrip_random(tmp_path_factory, blocks):
     assert corpus2.char_string() == corpus.char_string()
 
 
-PUNCT = "，。!"
-SPACE = st.sampled_from(["", " ", "  ", "\t", "\u3000", "\r"])
+# "\U00010100" is punctuation above U+FFFF; the last four spaces are
+# whitespace to str.isspace and str.split, but not line breaks to
+# split("\n")
+PUNCT = "，。!\U00010100"
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\u3000", "\r", "\x0b",
+                         "\x1c", "\x85", "\u2028"])
 
 
 @st.composite
@@ -232,7 +257,7 @@ def gold_line(draw):
     kind = draw(st.sampled_from(["words", "words", "punct", "blank"]))
     if kind == "blank":  # empty or whitespace only
         return draw(SPACE)
-    letters = PUNCT if kind == "punct" else "ab" + PUNCT
+    letters = PUNCT if kind == "punct" else "ab\U0001d44e" + PUNCT
     words = draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=5),
                           min_size=1, max_size=4))
     gaps = draw(st.lists(SPACE.filter(bool), min_size=len(words) - 1,
