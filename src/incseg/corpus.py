@@ -44,7 +44,7 @@ def runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edge = np.empty(len(v) + 1, bool)
     edge[0] = edge[-1] = True
     np.not_equal(v[1:], v[:-1], out=edge[1:-1])
-    edge = np.flatnonzero(edge)
+    edge = edge.nonzero()[0]
     return edge[:-1], edge[1:] - edge[:-1]
 
 
@@ -136,7 +136,10 @@ class RawCorpus:
 
     def render(self, boundaries: Iterable[int] = ()) -> str:
         """Reserialize, inserting one ASCII space at each boundary position."""
-        starts = self.word_starts(boundaries)
+        return self._render(self.word_starts(boundaries))
+
+    def _render(self, starts: np.ndarray) -> str:
+        """``render`` from the word starts that ``word_starts`` gives."""
         firsts = np.searchsorted(starts, self.offsets)
         text = np.insert(self._points(), np.delete(starts, firsts), 32)
         text = text.tobytes().decode("utf-32-le")
@@ -254,7 +257,7 @@ def write_segmentation(
     boundary outside 1..n_chars-1 is refused before either is written."""
     starts = corpus.word_starts(boundaries)
     path = Path(path)
-    path.write_text(corpus.render(starts[1:]), encoding="utf-8")
+    path.write_text(corpus._render(starts), encoding="utf-8")
     meta = {
         "n_chars": corpus.n_chars,
         "n_blocks": len(corpus.offsets),

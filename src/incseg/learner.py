@@ -176,26 +176,34 @@ class LearnerState:
         self.index = CandidateIndex(seq, self.options.n_max)
         self._ln_n = log(seq.n_chars)
         self._sign = self.options.complexity_sign
+        lost = np.arange(self.index.n_max + 1)  # component types a merge loses
+        self._model = self._sign * 0.5 * (1 - lost) * self._ln_n
         self.objective = penalized_likelihood(seq, params, self._sign)
         self._xlx = _cost_table("xlogx", seq.n_chars)
         self._g = (_cost_table(params.kind, seq.n_chars) if params.beta
                    else None)
         self._gl = np.zeros(0, np.float64)
         self._part = np.zeros(0, np.float64)  # scores less the total term
-        # tokens whose counts changed since the last _scores: all, at first
-        self._touched = np.arange(len(seq.counts))
+        self._k = np.zeros(0, np.int64)       # m(n - 1), the tokens it saves
+        # the tokens whose counts changed since the last _scores: all, at first
+        self._mark = np.ones(len(seq.counts), bool)
         self._sync()
 
     def _sync(self) -> None:
         """Flush the index's frees and births: a freed id's cached score
-        turns inf; if beta > 0, fill the born ids' beta length term
-        g(whole) - (g(l0) + g(l1) + ...), summed in token order."""
+        turns inf and its k 0; if beta > 0, fill the born ids' beta length
+        term g(whole) - (g(l0) + g(l1) + ...), summed in token order."""
         freed, born = self.index.consume_dirty()
         index = self.index
         grow = len(index.m) - len(self._part)
         if grow > 0:
             self._part = np.pad(self._part, (0, grow))
+            self._k = np.pad(self._k, (0, grow))
+        if len(self._mark) < len(self.seq.counts):
+            self._mark = np.pad(self._mark,
+                                (0, len(self.seq.counts) - len(self._mark)))
         self._part[freed] = np.inf
+        self._k[freed] = 0
         if not self.params.beta:
             return
         if len(self._gl) < len(index.m):
@@ -218,49 +226,47 @@ class LearnerState:
         id's score does not depend on which other ids are scored with it.
         Free ids score inf.
 
-        Each id's score less the total term, ``xlx[total - m(n-1)] -
-        xlx[total]``, is kept in ``_part``; only the total term is added
-        over all ids.  Its other inputs are its tokens' counts, its ``m``
-        and columns fixed at birth.  A merge changes the counts of its
-        tokens and the fresh one only, and ``m`` only of ids that hold one
-        of those.  So only the live ids holding such a token are
-        refreshed, by the same operations in the same order, and every
-        float is the one a full rescoring gives; ``_sync`` sets a freed
-        id's part to inf.  Padding slots hold token 0: merging it
-        refreshes more ids than needed, never fewer.
+        Each id's score less the total term ``xlx[total - k] - xlx[total]``
+        is kept in ``_part``, and its k = m(n-1) in ``_k``; only the total
+        term is added over all ids.  The part's other inputs are its tokens'
+        counts, its ``m`` and columns fixed at birth.  A merge changes the
+        counts of its tokens and the fresh one only, the tokens ``_mark``
+        holds, and ``m`` only of ids that hold one of those.  So only the
+        live ids holding such a token are refreshed, by the same operations
+        in the same order, and every float is the one a full rescoring
+        gives.  Padding slots hold token 0: merging it refreshes more ids
+        than needed, never fewer.
         """
         index = self.index
         xlx = self._xlx
         rows = slice(0, index.size)
-        mark = np.zeros(len(self.seq.counts), bool)
-        mark[self._touched] = True
-        self._touched = self._touched[:0]
+        mark = self._mark
         stale = mark[index.comp[0, rows]]
         for ids in index.comp[1:, rows]:
             stale |= mark[ids]
-        stale = np.flatnonzero(stale)
+        mark[:] = False
+        stale = stale.nonzero()[0]
         live = stale[index.order[stale] > 0]  # free ids stay inf
         m = index.m[live]
+        n1 = index.order[live] - 1
         mult = index.mult.take(live, 1)
         c = self.seq.counts[index.comp.take(live, 1)]
         c2 = c - m * mult
         acc = 0.0
         for d in xlx[c2] - xlx[c]:      # in slot order
             acc = acc + d
-        lost = 0                        # components whose count drops to 0
-        for z in (c2 == 0) & (mult > 0):
-            lost = lost + z
-        out = -acc - xlx[m] + self._sign * 0.5 * (1 - lost) * self._ln_n
+        lost = np.add.reduce((c2 == 0) & (mult > 0), 0)  # counts dropped to 0
+        out = -acc - xlx[m] + self._model[lost]
         p = self.params
         if p.alpha:
-            out += p.alpha * m * (index.order[live] - 1)
+            out += p.alpha * m * n1
         if p.beta:
             out += p.beta * m * self._gl[live]
-        self._part[live] = out
-        m = index.m[rows]
+        self._part[live], self._k[live] = out, m * n1
         total = self.seq.total
-        return self._part[rows] + (xlx[total - m * (index.order[rows] - 1)]
-                                   - xlx[total])
+        out = xlx.take(total - self._k[rows]) - xlx[total]
+        out += self._part[rows]         # part + (xlx[total - k] - xlx[total])
+        return out
 
     def _select(self) -> tuple[float, int] | None:
         """Exact minimizer's (score, id): lowest score, then largest m,
@@ -270,22 +276,24 @@ class LearnerState:
         best = scores.min(initial=np.inf)
         if best == np.inf:
             return None
-        tied = np.flatnonzero(scores == best)
-        m = index.m[tied]
-        tied = tied[m == m.max()].tolist()
-        i = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda j: (index.first_position(j), index.tuple_of(j)))
+        tied = (scores == best).nonzero()[0]
+        if len(tied) > 1:
+            m = index.m[tied]
+            tied = tied[m == m.max()]
+        i = int(tied[0]) if len(tied) == 1 else min(
+            tied.tolist(),
+            key=lambda j: (index.first_position(j), index.tuple_of(j)))
         return float(best), i
 
     # -- stepping ------------------------------------------------------
 
     def _apply(self, i: int, delta: float) -> CompressionEvent:
-        t = self.index.tuple_of(i)
         cd = self.index.apply(i, self.lex)
+        t = self.lex.entries[cd.fresh_id].components
         self.objective += delta
         self.iteration += 1
-        self._touched = np.concatenate((self._touched, t, [cd.fresh_id]))
         self._sync()
+        self._mark[[*t, cd.fresh_id]] = True
         return CompressionEvent(self.iteration, t, cd.fresh_id,
                                 cd.occurrences, delta, self.objective)
 

@@ -7,6 +7,8 @@ compression consumes exactly the occurrences that were counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -16,6 +18,23 @@ from .corpus import RawCorpus, distinct, runs
 TokenTuple = tuple[int, ...]
 # the occurrence pool's size, in multiples of the positions it starts with
 _POOL_SLACK = 2
+
+
+@cache
+def _slot_columns(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The slot pairs (a, b), a < b, of an order-n n-gram (n <= 4), and its
+    ``mult`` column and self-overlap by the code of its equal pairs, bit j
+    set when pair j holds one token twice, which decides both."""
+    pairs = tuple((a, b) for b in range(n) for a in range(b))
+    mult = np.zeros((n, 1 << len(pairs)), np.int8)
+    over = np.zeros(1 << len(pairs), bool)
+    for t in product(range(n), repeat=n):
+        code = sum(1 << j for j, (a, b) in enumerate(pairs) if t[a] == t[b])
+        mult[:, code] = [t.count(w) * (t.index(w) == s)
+                         for s, w in enumerate(t)]
+        over[code] = any(t[d:] == t[:n - d] for d in range(1, n))
+    mult.flags.writeable = over.flags.writeable = False  # shared by all
+    return pairs, mult, over
 
 
 @dataclass
@@ -55,21 +74,27 @@ class TokenSequence:
     swallowed p; ``nxt``/``prv`` link each block's live positions and hold
     -1 at block edges, so no link, and no candidate n-gram, crosses one.
     A merge keeps the leftmost position of its span, so a live position is
-    also the character offset where its token starts."""
+    also the character offset where its token starts.  Token ids below
+    ``n_ids`` are in use; ``counts`` and ``lengths`` hold 0 past them."""
 
     tok: np.ndarray
     nxt: np.ndarray
     prv: np.ndarray
-    counts: np.ndarray  # int64, one slot per token id
-    lengths: np.ndarray  # int64, one slot per token id
+    counts: np.ndarray  # int64, one slot per token id, and spare slots
+    lengths: np.ndarray  # int64, one slot per token id, and spare slots
     total: int
     n_chars: int
     offsets: np.ndarray  # the corpus's block offsets
+    n_ids: int
 
     def new_token(self, length: int) -> int:
-        self.counts = np.append(self.counts, 0)
-        self.lengths = np.append(self.lengths, length)
-        return len(self.counts) - 1
+        t = self.n_ids
+        if t == len(self.counts):  # double both
+            self.counts = np.pad(self.counts, (0, t))
+            self.lengths = np.pad(self.lengths, (0, t))
+        self.lengths[t] = length
+        self.n_ids = t + 1
+        return t
 
     def merge(self, sites: np.ndarray, fresh: int) -> None:
         """Collapse each row of ``sites``, the live positions of one
@@ -114,7 +139,7 @@ def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     prv[starts] = -1
     counts = np.bincount(tok, minlength=n_base)
     seq = TokenSequence(tok, nxt, prv, counts, np.ones(n_base, np.int64), n,
-                        n, starts)
+                        n, starts, n_base)
     return seq, Lexicon(corpus.chars)
 
 
@@ -137,9 +162,9 @@ class CandidateIndex:
     ``m[i]``, its greedy occurrence count, the only copy there is;
     ``_pool[_at[i]:_at[i] + _len[i]]``, the positions it held at birth or
     at the pool's last rebuild, which hold all it has now, as an id's
-    positions only leave it.  Ids
-    below ``size`` have been used.  One rule, ``_greedy``, gives the sites
-    ``apply`` merges and the counts ``_settle`` redoes, one call per order.
+    positions only leave it.  Ids below ``size`` have been used.  A greedy
+    occurrence is any live one, but for a self-overlapping id: one rule,
+    ``_greedy``, gives those sites and the counts ``_settle`` redoes.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
@@ -151,9 +176,9 @@ class CandidateIndex:
         self.size = 0
         self.m = np.zeros(1024, np.int64)
         self._overlaps = np.zeros(1024, bool)   # self-overlapping n-gram
-        self.order = np.zeros(1024, np.int64)
+        self.order = np.zeros(1024, np.int8)
         self.comp = np.zeros((n_max, 1024), np.int64)
-        self.mult = np.zeros((n_max, 1024), np.int64)
+        self.mult = np.zeros((n_max, 1024), np.int8)
         self._at = np.zeros(1024, np.int64)
         self._len = np.zeros(1024, np.int64)
         self._free = self._freed = self._born = np.zeros(0, np.int64)
@@ -182,19 +207,16 @@ class CandidateIndex:
                 col = getattr(self, name)
                 setattr(self, name, np.pad(
                     col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
-        cols = np.zeros((2, self.n_max, len(keys)), np.int64)  # comp, mult
-        t = cols[0]
-        t[:n - 1] = keys >> 32 if n == 2 else self.comp[:n - 1, keys >> 32]
-        t[n - 1] = keys & 0xFFFFFFFF
-        eq = t[:n, None] == t[:n]               # eq[a, b]: slot a == slot b
-        # a token's count goes to the first slot that holds it
-        at_first = eq.argmax(1) == np.arange(n)[:, None]
-        cols[1, :n] = np.add.reduce(eq, 1) * at_first
-        self.comp[:, born], self.mult[:, born] = cols
+        pairs, mult, over = _slot_columns(n)
+        t = [keys >> 32] if n == 2 else list(self.comp.take(keys >> 32, 1))
+        t[n - 1:] = [keys & 0xFFFFFFFF]
+        code = np.packbits([t[a] == t[b] for a, b in pairs], axis=0,
+                           bitorder="little")[0]
+        for b in range(self.n_max):  # a reused id's padding rows read 0
+            self.comp[b][born] = t[b] if b < n else 0
+            self.mult[b][born] = mult[b].take(code) if b < n else 0
         self.order[born] = n
-        # self-overlap: for some shift d, slot a + d == slot a for every a
-        self._overlaps[born] = np.logical_or.reduce(
-            [eq.diagonal(-d).all(1) for d in range(1, n)])
+        self._overlaps[born] = over.take(code)
         self._born = np.concatenate((self._born, born))
         return born
 
@@ -217,7 +239,7 @@ class CandidateIndex:
             keys, pos = keys[perm], pos[perm]
             start, cnt = runs(keys)
             ids = self._intern(n, keys[start])
-            self.m[ids] += cnt
+            self.m[ids] = cnt  # a free id holds m 0
             self.gram[n][pos] = np.repeat(ids, cnt)
             self._append(ids, start, cnt, pos)
             met.append(ids)
@@ -260,32 +282,20 @@ class CandidateIndex:
             met.append(ids)
         return met
 
-    def _occurrences(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(position, id) of every live occurrence of the order-n ``ids``,
-        by id, then position: each id's pool slice, less the positions
-        that have left it."""
+    def _greedy(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(start, id) of every greedy occurrence of the order-n
+        self-overlapping ``ids``, by id, then left to right, from each id's
+        pool slice less the positions that have left it.  A row that starts
+        after the end of the row before it, of the same id, is kept, as
+        ends rise with starts; only the rows that clash walk the frontier,
+        from the end of the last row that did not clash."""
         at, cnt = self._at[ids], self._len[ids]
-        g = self.gram[n]
-        if len(ids) == 1:  # a merge's sites: grid-78k-traced is slower without
-            pos = self._pool[at[0]:at[0] + cnt[0]]
-            pos = np.sort(pos[g[pos] == ids[0]])
-            return pos, np.full(len(pos), ids[0])
         who = np.repeat(ids, cnt)
         skip = np.repeat(at - cnt.cumsum() + cnt, cnt)  # pool index less row
         pos = self._pool[skip + np.arange(len(who))]
-        keep = g[pos] == who
+        keep = self.gram[n][pos] == who
         key = np.sort(who[keep] << 32 | pos[keep])
-        return key & 0xFFFFFFFF, key >> 32
-
-    def _greedy(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(start, id) of every greedy occurrence of the order-n ``ids``,
-        by id, then left to right.  A row that starts after the end of the
-        row before it, of the same id, is kept, as ends rise with starts;
-        only the rows that clash walk the frontier, from the end of the
-        last row that did not clash."""
-        pos, who = self._occurrences(n, ids)
-        if not self._overlaps[ids].any():  # grid-78k-traced is slower without
-            return pos, who
+        pos, who = key & 0xFFFFFFFF, key >> 32
         end = pos
         for _ in range(n - 1):
             end = self.seq.nxt[end]
@@ -307,10 +317,17 @@ class CandidateIndex:
     def _sites(self, i: int) -> np.ndarray:
         """The greedy occurrences of n-gram ``i``, taken left to right, one
         row of positions each."""
-        cols = [self._greedy(self.order[i], np.array([i]))[0]]
-        for _ in range(self.order[i] - 1):
-            cols.append(self.seq.nxt[cols[-1]])
-        return np.stack(cols, axis=1)
+        n = self.order[i]
+        if self._overlaps[i]:
+            pos = self._greedy(n, np.array([i]))[0]
+        else:  # every live position: its pool slice, less those that left
+            pos = self._pool[self._at[i]:self._at[i] + self._len[i]]
+            pos = np.sort(pos[self.gram[n][pos] == i])
+        sites = np.empty((len(pos), n), np.int64)
+        sites[:, 0] = pos
+        for j in range(1, n):
+            sites[:, j] = self.seq.nxt[sites[:, j - 1]]
+        return sites
 
     def _settle(self, met: list[np.ndarray]) -> None:
         """Recount the self-overlapping ids met, whose position counts are
@@ -318,7 +335,7 @@ class CandidateIndex:
         met left at 0."""
         ids = distinct(np.concatenate(met))
         over = ids[self._overlaps[ids]]
-        for n in distinct(self.order[over]).tolist():
+        for n in distinct(self.order[over]).tolist() if len(over) else ():
             mine = over[self.order[over] == n]
             self.m[mine] = 0
             np.add.at(self.m, self._greedy(n, mine)[1], 1)
@@ -332,7 +349,7 @@ class CandidateIndex:
         return tuple(self.comp[:self.order[i], i].tolist()) or None
 
     def first_position(self, i: int) -> int:
-        return int(self._occurrences(self.order[i], np.array([i]))[0][0])
+        return int(self._sites(i)[0, 0])
 
     def apply(self, i: int, lex: Lexicon) -> CompressionDelta:
         """Compress all greedy occurrences of n-gram ``i`` in one batch.
@@ -344,7 +361,7 @@ class CandidateIndex:
         t = self.tuple_of(i)
         seq = self.seq
         sites = self._sites(i)
-        fresh = seq.new_token(seq.lengths[list(t)].sum())
+        fresh = seq.new_token(sum(seq.lengths[w] for w in t))
         lex.define(t, "".join(lex.entries[w].surface for w in t))
         reach, near, q = [], sites.ravel(), sites[:, 0]
         for _ in self.orders:  # the order-n positions add the (n-1)-th left
@@ -362,5 +379,5 @@ class CandidateIndex:
         """int64 arrays of the ids freed and born since the last call; no id
         is in both after a single apply, which frees after all its births."""
         out = self._freed, self._born
-        self._freed = self._born = np.zeros(0, np.int64)
+        self._freed, self._born = self._freed[:0], self._born[:0]
         return out

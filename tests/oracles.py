@@ -304,8 +304,8 @@ def apply_compression(seq, lex, s, fresh_id=None):
     if not sites:
         raise ValueError(f"candidate {s} does not occur")
     if fresh_id is None:
-        fresh_id = len(seq.counts)
-    elif fresh_id != len(seq.counts):
+        fresh_id = seq.n_ids
+    elif fresh_id != seq.n_ids:
         raise ValueError("fresh_id must be the next dense token id")
     old_counts = {w: seq.counts[w] for w in set(s)}
     old_total = seq.total

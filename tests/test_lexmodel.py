@@ -1,15 +1,19 @@
 """Token sequence bookkeeping: greedy counts, compression, n-gram stats."""
 
+import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incseg import lexmodel
+from incseg.cli import main
 from incseg.ensemble import majority_vote
-from incseg.learner import LearnerOptions, PenaltyParams, init_state, run
+from incseg.learner import (LearnerOptions, PenaltyParams, init_state,
+                            penalty, run)
 from incseg.lexmodel import CandidateIndex, init_from_corpus
 from incseg.search import load_boundaries, save_boundaries
 
@@ -326,8 +330,59 @@ def test_settle_recounts_interleaved_self_overlaps_in_one_batch():
     index.apply(id_of(index, ids(corpus, "abc")), lex)
     aba, bab, aaa, aa = (ids(corpus, s) for s in ("aba", "bab", "aaa", "aa"))
     quads = {ids(corpus, s) for s in ("aaaa", "abaa", "abab", "baab", "baba")}
-    # one recount per order after the merge's own site search
-    assert batches[1:] == [(2, {aa}), (3, {aaa, aba, bab}), (4, quads)]
+    # one recount per order; abc does not overlap itself, so its site
+    # search reads its pool slice without a greedy pass
+    assert batches == [(2, {aa}), (3, {aaa, aba, bab}), (4, quads)]
     for t, m in ((aba, 4), (bab, 4), (aaa, 2), (aa, 4)):
         assert index.m[id_of(index, t)] == count_occurrences(seq, t) == m, t
     verify_index(index)
+
+
+def test_id_freed_at_a_higher_order_is_reborn_with_zero_padding():
+    # ids are reused last freed first, and a merge interns its bigrams
+    # before its longer n-grams, so the trigram and 4-gram ids one merge
+    # frees come back as lower-order ids in the next
+    corpus, seq, lex = seq_for("abcabd abcd bcab\ncabcab dabc\n" * 3)
+    index = CandidateIndex(seq, 4)
+    born_at = {i: int(index.order[i])  # id -> the order of its last birth
+               for i in index.consume_dirty()[1].tolist()}
+    reborn = 0
+    while (m := index.m[:index.size]).any():
+        index.apply(int(np.argmax(m)), lex)
+        for i in index.consume_dirty()[1].tolist():
+            n = int(index.order[i])
+            reborn += born_at.get(i, 0) > n
+            born_at[i] = n
+            assert not index.comp[n:, i].any(), (i, n)
+            assert not index.mult[n:, i].any(), (i, n)
+        verify_index(index)
+    assert reborn > 0
+
+
+def test_spare_token_slots_reach_no_reading(tmp_path):
+    # counts and lengths grow by doubling, so a run ends with zero slots
+    # past the ids in use; cutting them off changes no reading of the
+    # sequence, and the lexicon dump lists only the ids in use
+    text = "abcabd abcd bcab\ncabcab dabc\n" * 3
+    path = tmp_path / "c.txt"
+    path.write_text(text, encoding="utf-8")
+    corpus, _ = make_corpus(text)
+    params = PenaltyParams(0.1, 0.2)
+    seq = run(corpus, params, LearnerOptions(n_max=3)).hypothesis.seq
+    used = seq.n_ids
+    assert used < len(seq.counts) == len(seq.lengths)
+    assert not seq.counts[used:].any() and not seq.lengths[used:].any()
+    cut = dataclasses.replace(seq, counts=seq.counts[:used],
+                              lengths=seq.lengths[:used])
+    assert seq.n_types() == cut.n_types()
+    assert list(seq.active_items()) == list(cut.active_items())
+    assert max(t for t, _ in seq.active_items()) < used
+    assert penalty(seq, params) == penalty(cut, params)
+    assert seq.to_blocks() == cut.to_blocks()
+    assert max(max(b) for b in seq.to_blocks()) < used
+    out = tmp_path / "lex.json"
+    assert main(["dump-lexicon", str(path), "--nmax", "3", "--alpha", "0.1",
+                 "--beta", "0.2", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    assert [r["id"] for r in rows] == list(range(used))
+    assert [r["count"] for r in rows] == seq.counts[:used].tolist()
