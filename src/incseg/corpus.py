@@ -102,18 +102,17 @@ class RawCorpus:
                                         self.offsets)))
 
     def type_words(self, starts: np.ndarray, lengths: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact type ids of the words at ``starts``: two words share an id
-        iff they have the same characters.
+                   ) -> np.ndarray:
+        """Exact type ids of the words at ``starts``, dense from 0: two
+        words share an id iff they have the same characters.
 
         Words of one length are typed together: their rows of character
         ids are packed column by column into int64 keys in base
         ``len(chars)``, ranked densely whenever the next column could
-        overflow.  Returns each word's type id and one word index per type.
+        overflow.
         """
         base = max(len(self.chars), 2)
         tid = np.empty(len(starts), np.int64)
-        reps = []
         n_types = 0
         order = np.argsort(lengths, kind="stable")
         buckets = np.flatnonzero(np.diff(lengths[order])) + 1
@@ -127,19 +126,14 @@ class RawCorpus:
                     space = len(idx)
                 key = key * base + self.codes[at + j]
                 space *= base
-            _, first, key = np.unique(key, return_index=True,
-                                      return_inverse=True)
+            distinct_keys, key = np.unique(key, return_inverse=True)
             tid[idx] = key + n_types
-            n_types += len(first)
-            reps.append(idx[first])
-        return tid, np.concatenate(reps)
-
-    def render(self, boundaries: Iterable[int] = ()) -> str:
-        """Reserialize, inserting one ASCII space at each boundary position."""
-        return self._render(self.word_starts(boundaries))
+            n_types += len(distinct_keys)
+        return tid
 
     def _render(self, starts: np.ndarray) -> str:
-        """``render`` from the word starts that ``word_starts`` gives."""
+        """Reserialize, inserting one ASCII space before each of the word
+        starts that ``word_starts`` gives, but a block's first."""
         firsts = np.searchsorted(starts, self.offsets)
         text = np.insert(self._points(), np.delete(starts, firsts), 32)
         text = text.tobytes().decode("utf-32-le")

@@ -1,10 +1,10 @@
 """Information-criterion scoring of finished segmentations.
 
-A hypothesis is scored from its word table, built per call from boundaries
-(``SegmentedText``) or from a learner's tokens (``from_tokens``); no value
-depends on how the types are numbered, so both give the same floats.  Each
-distinct likelihood term is computed once, ``repeated_fsum`` adds its
-repeats exactly, and all values are in nats (``in_bits`` rescales them).
+A hypothesis is scored from its word table, built per call from word starts
+and type ids, whoever numbers them; no value depends on the numbering, so
+character and lexicon ids give the same floats.  Each distinct likelihood
+term is computed once, ``repeated_fsum`` adds its repeats exactly, and all
+values are in nats (``in_bits`` rescales them).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import RawCorpus
-from .lexmodel import Lexicon, TokenSequence
 
 CRITERIA = ("aic1", "aic2", "aic3", "mdl1", "mdl2", "mdl3")
 
@@ -52,31 +51,16 @@ class SegmentedText:
     words tile the corpus, so ``n_chars`` is the corpus'.
     """
 
-    def __init__(self, corpus: RawCorpus, boundaries: Iterable[int]):
-        """Words between the boundaries and block edges, typed by codes."""
-        starts = corpus.word_starts(boundaries)
-        self._tabulate(corpus, starts, *corpus.type_words(
-            starts, np.diff(starts, append=corpus.n_chars)))
-
-    @classmethod
-    def from_tokens(cls, corpus: RawCorpus, seq: TokenSequence,
-                    lex: Lexicon) -> SegmentedText:
-        """The live tokens of a learner's ``seq`` over ``corpus`` as words,
-        typed by their surface ids ``lex.type_of``, renumbered densely."""
-        starts = np.flatnonzero(seq.tok >= 0)
-        sid = np.asarray(lex.type_of)[seq.tok[starts]]
-        present = np.zeros(len(lex.type_of), bool)
-        present[sid] = True
-        tid = (np.cumsum(present) - 1)[sid]
+    def __init__(self, corpus: RawCorpus, starts: np.ndarray,
+                 ids: np.ndarray):
+        """Words at the ascending ``starts`` (0 and each block start among
+        them), one type where their ids (ints >= 0) match, renumbered
+        densely; a type is spelled from any one of its words."""
+        counts = np.bincount(ids)
+        present = counts > 0
+        tid = (np.cumsum(present) - 1)[ids]
         rep = np.empty(np.count_nonzero(present), np.int64)
-        rep[tid] = np.arange(len(tid))  # any one word of each type
-        st = cls.__new__(cls)
-        st._tabulate(corpus, starts, tid, rep)
-        return st
-
-    def _tabulate(self, corpus: RawCorpus, starts: np.ndarray,
-                  tid: np.ndarray, rep: np.ndarray) -> None:
-        """Words at ascending ``starts`` typed ``tid``; rep[t] spells t."""
+        rep[tid] = np.arange(len(tid))
         edge = np.zeros(corpus.n_chars, bool)
         edge[corpus.offsets] = True
         first = edge[starts]
@@ -86,7 +70,7 @@ class SegmentedText:
         n_types, self.total = len(lens), len(tid)
         self.type_lengths, self.type_chars = lens, corpus.codes[spelled]
         self.symbols = corpus.chars
-        self.type_counts = np.bincount(tid, minlength=n_types)
+        self.type_counts = counts[present]
         self.n_chars = corpus.n_chars
         a, b = self.type_counts[tid], np.full(self.total, self.total)
         self.terms, self.k = {}, {}
@@ -177,8 +161,10 @@ def evaluate(st: SegmentedText) -> dict[str, CriterionValue]:
 
 def evaluate_boundaries(corpus: RawCorpus, boundaries: Iterable[int]
                         ) -> dict[str, CriterionValue]:
-    """Score a segmentation given as a boundary set over the corpus."""
-    return evaluate(SegmentedText(corpus, boundaries))
+    """Score a boundary set over the corpus, its words typed by characters."""
+    starts = corpus.word_starts(boundaries)
+    return evaluate(SegmentedText(corpus, starts, corpus.type_words(
+        starts, np.diff(starts, append=corpus.n_chars))))
 
 
 def in_bits(value_nats: float) -> float:

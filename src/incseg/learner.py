@@ -31,7 +31,7 @@ from . import criteria as _criteria
 from . import metrics as _metrics
 from .corpus import GoldSegmentation, RawCorpus
 from .lexmodel import (CandidateIndex, Lexicon, TokenSequence, TokenTuple,
-                       init_from_corpus)
+                       init_from_corpus, live_words)
 
 PENALTY_KINDS = ("xlogx", "xsquared")
 
@@ -358,20 +358,15 @@ def run(corpus: RawCorpus, params: PenaltyParams,
 def _trace_record(state: LearnerState, corpus: RawCorpus,
                   gold_starts: np.ndarray | None) -> TraceRecord:
     seq = state.seq
-    rec = TraceRecord(
-        iteration=state.iteration,
-        objective=state.objective,
-        n_tokens=seq.total,
-        n_types=seq.n_types(),
-        n_boundaries=seq.total - 1,
-    )
+    rec = TraceRecord(iteration=state.iteration, objective=state.objective,
+                      n_tokens=seq.total, n_types=seq.n_types(),
+                      n_boundaries=seq.total - 1)
     opts = state.options
-    starts = np.flatnonzero(seq.tok >= 0)  # word starts, 0 always one
+    starts, ids = live_words(seq, state.lex)
     if opts.trace_boundaries:
         rec.boundaries = starts[1:]
     if opts.trace_mode == "criteria":
-        vals = _criteria.evaluate(
-            _criteria.SegmentedText.from_tokens(corpus, seq, state.lex))
+        vals = _criteria.evaluate(_criteria.SegmentedText(corpus, starts, ids))
         rec.criteria = {cid: cv.value for cid, cv in vals.items()}
         if gold_starts is not None:
             rec.token_f = _metrics.token_prf(

@@ -143,6 +143,14 @@ def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     return seq, Lexicon(corpus.chars)
 
 
+def live_words(seq: TokenSequence, lex: Lexicon
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Where each live token of ``seq`` starts, ascending, 0 and every block
+    start among them, and the surface id ``lex.type_of`` of each."""
+    starts = np.flatnonzero(seq.tok >= 0)
+    return starts, np.asarray(lex.type_of)[seq.tok[starts]]
+
+
 @dataclass
 class CompressionDelta:
     """One applied compression: the new token and how many sites it took."""

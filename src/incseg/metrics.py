@@ -56,9 +56,9 @@ def lexicon_prf(hyp: np.ndarray, gold: np.ndarray,
                 corpus: RawCorpus) -> PRF:
     """Word types found; hypothesis and gold words are typed together."""
     n = corpus.n_chars
-    tid, rep = corpus.type_words(np.concatenate((hyp, gold)), np.concatenate(
+    tid = corpus.type_words(np.concatenate((hyp, gold)), np.concatenate(
         (np.diff(hyp, append=n), np.diff(gold, append=n))))
-    found = [np.bincount(t, minlength=len(rep)) > 0
+    found = [np.bincount(t, minlength=tid.max() + 1) > 0
              for t in (tid[:len(hyp)], tid[len(hyp):])]
     return _prf(int((found[0] & found[1]).sum()), int(found[0].sum()),
                 int(found[1].sum()))

@@ -26,6 +26,7 @@ from . import metrics as _metrics
 from .corpus import GoldSegmentation, RawCorpus, positions
 from .criteria import CRITERIA
 from .learner import LearnerOptions, PenaltyParams
+from .lexmodel import live_words
 
 
 def parse_range(spec: str) -> tuple[float, ...]:
@@ -145,7 +146,8 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
     t0 = time.perf_counter()
     params = PenaltyParams(alpha=alpha, beta=beta, kind=kind)
     result = _learner.run(corpus, params, options, gold=gold)
-    bounds = positions(result.hypothesis.boundaries)
+    starts, ids = live_words(result.hypothesis.seq, result.hypothesis.lexicon)
+    bounds = starts[1:]
     trace_rel = None
     if options.trace_mode == "criteria":  # ends with a snapshot of bounds
         crit = result.trace[-1].criteria
@@ -153,10 +155,8 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
         _learner.write_trace(result.trace, out_dir / trace_rel)
     else:
-        hyp = result.hypothesis
         crit = {cid: cv.value for cid, cv in _criteria.evaluate(
-            _criteria.SegmentedText.from_tokens(corpus, hyp.seq,
-                                                hyp.lexicon)).items()}
+            _criteria.SegmentedText(corpus, starts, ids)).items()}
     metrics = None
     if gold is not None:
         metrics = _metrics.evaluate_segmentation(corpus, gold, bounds).as_dict()
@@ -198,6 +198,8 @@ def load_ledger(out_dir: Path) -> list[RunRecord]:
 def correlation_rows(out_dir: str | Path, population: str) -> list[dict]:
     """Token F and the criteria of each output of the grid in ``out_dir``
     (``outputs``), or of each traced snapshot that has both (``trace``)."""
+    if population not in ("outputs", "trace"):
+        raise ValueError(f"unknown population {population!r}")
     records = load_ledger(Path(out_dir))
     if not records:
         raise RuntimeError(f"no records in {out_dir}")

@@ -17,16 +17,23 @@ from incseg.criteria import (CRITERIA, SegmentedText, codebook_length,
                              neg_log_likelihood, repeated_fsum)
 from incseg.learner import (LearnerOptions, LearnerState, PenaltyParams, run,
                             step)
-from incseg.lexmodel import init_from_corpus
+from incseg.lexmodel import init_from_corpus, live_words
 
 from conftest import benchmark_corpus, make_corpus, random_gold_text
 from oracles import (boundaries, enumerate_segmentations, oracle_criteria,
                      oracle_unigram_scores)
 
 
+def char_table(corpus, boundaries):
+    """The word table of ``boundaries``, its words typed by characters."""
+    starts = corpus.word_starts(boundaries)
+    return SegmentedText(corpus, starts, corpus.type_words(
+        starts, np.diff(starts, append=corpus.n_chars)))
+
+
 def seg_for(text, boundaries):
     corpus, _ = make_corpus(text)
-    return corpus, SegmentedText(corpus, boundaries)
+    return corpus, char_table(corpus, boundaries)
 
 
 # -- negative log likelihood ---------------------------------------------
@@ -134,7 +141,7 @@ def test_aicc_deterministic_sequence_value():
 def test_mdl_components_reconstruct():
     corpus, _ = make_corpus(random_gold_text(random.Random(1), 200, 6))
     res = run(corpus, PenaltyParams(0.3, 0.3))
-    st_ = SegmentedText(corpus, res.hypothesis.boundaries)
+    st_ = char_table(corpus, res.hypothesis.boundaries)
     vals = evaluate(st_)
     for n in (1, 2, 3):
         cv = vals[f"mdl{n}"]
@@ -154,7 +161,7 @@ def test_mdl_cbl_independent_of_order():
 def test_initial_state_cbl_is_character_inventory_cost():
     # character-level segmentation: lexicon = {a, b, c}, coded once each
     corpus, _ = make_corpus("abcabc\n")
-    st_ = SegmentedText(corpus, set(range(1, 6)))
+    st_ = char_table(corpus, set(range(1, 6)))
     sym = Counter("abc")
     z = sum(sym.values()) + 3  # one end mark per entry
     expect = -fsum(c * log(c / z) for c in sym.values()) - 3 * log(3 / z)
@@ -165,8 +172,8 @@ def test_nll_doubles_when_corpus_doubles():
     text = "tupa se\nkomi tupa\n"
     corpus1, gold1 = make_corpus(text)
     corpus2, gold2 = make_corpus(text * 2)
-    st1 = SegmentedText(corpus1, gold1.boundaries)
-    st2 = SegmentedText(corpus2, gold2.boundaries)
+    st1 = char_table(corpus1, gold1.boundaries)
+    st2 = char_table(corpus2, gold2.boundaries)
     assert neg_log_likelihood(st2, 1) == pytest.approx(
         2 * neg_log_likelihood(st1, 1), abs=1e-9)
 
@@ -268,7 +275,7 @@ def test_surface_canonicalization_merges_duplicate_types():
     assert tok[0] != tok[3] and lex.surface(tok[0]) == lex.surface(tok[3])
     bounds = boundaries(seq)
     assert bounds == {3, 6}
-    assert SegmentedText(corpus, bounds).type_counts.tolist() == [1, 2]
+    assert char_table(corpus, bounds).type_counts.tolist() == [1, 2]
     assert (_fields(evaluate_boundaries(corpus, bounds))
             == oracle_criteria(corpus, bounds))
 
@@ -279,8 +286,11 @@ def test_surface_canonicalization_merges_duplicate_types():
 def assert_feeds_agree(corpus, seq, lex):
     """The learner's table of ``seq`` and the boundary table of its live
     positions give the same counts and the same six values."""
-    want = SegmentedText(corpus, np.flatnonzero(seq.tok >= 0)[1:])
-    got = SegmentedText.from_tokens(corpus, seq, lex)
+    want = char_table(corpus, np.flatnonzero(seq.tok >= 0)[1:])
+    assert_tables_agree(SegmentedText(corpus, *live_words(seq, lex)), want)
+
+
+def assert_tables_agree(got, want):
     assert (got.total, got.k) == (want.total, want.k)
     assert sorted(got.type_counts.tolist()) == sorted(
         want.type_counts.tolist())
@@ -320,6 +330,22 @@ def test_token_feed_types_two_compositions_as_one(n_max):
     assert tok[0] != tok[3] and lex.type_of[tok[0]] == lex.type_of[tok[3]]
     assert_every_snapshot_agrees(corpus, LearnerState(
         seq, lex, PenaltyParams(), LearnerOptions(n_max=n_max)))
+
+
+@given(_BLOCKS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_reversed_ids_give_the_dense_table(blocks, data):
+    # the dense character ids mapped injectively to ints with gaps, the
+    # first type to the largest
+    corpus, gold = make_corpus("".join(" ".join(b) + "\n" for b in blocks))
+    starts = corpus.word_starts(gold.boundaries)
+    dense = corpus.type_words(starts, np.diff(starts, append=corpus.n_chars))
+    n_types = int(dense.max()) + 1
+    gaps = data.draw(st.lists(st.integers(1, 40), min_size=n_types,
+                              max_size=n_types))
+    sparse = np.cumsum(gaps)[::-1][dense]
+    assert_tables_agree(SegmentedText(corpus, starts, sparse),
+                        SegmentedText(corpus, starts, dense))
 
 
 # -- the exact repeated sum --------------------------------------------------

@@ -482,6 +482,8 @@ def test_correlation_rows_need_gold_and_a_trace(toy, tmp_path):
         correlation_rows(tmp_path / "g", "trace")
     with pytest.raises(RuntimeError, match="no records in"):
         correlation_rows(tmp_path / "empty", "outputs")
+    with pytest.raises(ValueError, match="unknown population 'output'"):
+        correlation_rows(tmp_path / "g", "output")
 
 
 def test_staged_search(toy, tmp_path):
