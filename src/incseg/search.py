@@ -174,8 +174,8 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
 
 def load_ledger(out_dir: Path) -> list[RunRecord]:
     """Records of ``runs.jsonl``.  A last line without its newline is what
-    a crash mid-append leaves: it is dropped with a warning and truncated
-    away.  A bad line anywhere else is an error naming file and line."""
+    a crash mid-append leaves: it is dropped with a warning, and the file is
+    left as it is.  A bad line anywhere else is an error naming file and line."""
     path = Path(out_dir) / "runs.jsonl"
     if not path.exists():
         return []
@@ -183,8 +183,6 @@ def load_ledger(out_dir: Path) -> list[RunRecord]:
     if lines and not lines[-1].endswith(b"\n"):
         warnings.warn(f"{path}: dropping torn last line", RuntimeWarning)
         lines.pop()
-        with path.open("r+b") as fh:
-            fh.truncate(sum(map(len, lines)))
     records = []
     for i, line in enumerate(lines, 1):
         try:
@@ -268,7 +266,6 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
                     f"not {value}; start over in a new directory")
     else:
         _publish(kept, lambda fh: fh.write(json.dumps(identity).encode()))
-    # loading also cuts a torn tail before appending
     done = {rec.key(): rec for rec in load_ledger(out)}
     todo = [c for c in spec.cells() if c not in done]
 
@@ -282,6 +279,7 @@ def run_grid(corpus: RawCorpus, gold: GoldSegmentation | None,
         done[(row["penalty"], row["alpha"], row["beta"])] = RunRecord(**row)
 
     ledger = ledger_path.open("a", encoding="utf-8")
+    ledger.truncate(ledger_path.read_bytes().rfind(b"\n") + 1)  # cut a torn tail
     _WORK["work"] = (corpus, gold, options, out)
     try:
         if jobs <= 1 or len(todo) <= 1:

@@ -77,13 +77,17 @@ def random_gold_text(rng: random.Random, n_chars: int, alphabet: int,
     return "\n".join(lines) + "\n"
 
 
-def synthetic():
-    """The corpus generators' module, ``scripts/benchmark_synthetic.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_synthetic", SCRIPTS / "benchmark_synthetic.py")
+def script(name: str):
+    """The module ``scripts/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def synthetic():
+    """The corpus generators' module, ``scripts/benchmark_synthetic.py``."""
+    return script("benchmark_synthetic")
 
 
 def benchmark_corpus(path: Path, n_lines: int):

@@ -385,8 +385,9 @@ def full_scores(state):
     return np.where(m > 0, out, np.inf)
 
 
-def check_objective(state, rel_tol=1e-6):
-    """Assert the learner's running objective against a full recompute."""
+def check_objective(state, rel_tol=1e-12):
+    """Assert the learner's running objective against a full recompute.
+    The running sum drifts by at most 1.6e-14 relative on the toy corpora."""
     fresh = penalized_likelihood(state.seq, state.params,
                                  state.options.complexity_sign)
     if abs(fresh - state.objective) > rel_tol * max(1.0, abs(fresh)):

@@ -231,9 +231,12 @@ def test_step_is_deterministic_under_ties():
     assert ev2.token == ids(corpus, "cd")
 
 
-def test_run_objective_strictly_decreasing():
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_run_objective_strictly_decreasing(n_max, kind):
     corpus, gold = make_corpus(toy_text(60, seed=3))
-    state = init_state(corpus, PenaltyParams(0.2, 0.2))
+    state = init_state(corpus, PenaltyParams(0.2, 0.2, kind),
+                       LearnerOptions(n_max=n_max))
     last = state.objective
     while True:
         ev = step(state)

@@ -12,6 +12,7 @@ from incseg.search import (GridSpec, RunRecord, correlation_rows,
                            select_family_minimum, select_top_k, staged_search,
                            save_boundaries, write_heatmap_csv)
 
+from incseg import cli
 from incseg.learner import LearnerOptions
 
 from conftest import make_corpus, toy_text
@@ -138,6 +139,26 @@ def test_resume_after_torn_ledger_line(toy, tmp_path):
         resumed = run_grid(corpus, gold, small_grid_spec(), out)
     assert [r.key() for r in resumed] == [r.key() for r in first]
     assert ledger.read_bytes() == before  # torn tail cut, no cell re-run
+
+
+def test_reading_a_torn_ledger_leaves_it_alone(toy, tmp_path, capsys):
+    corpus, gold = toy
+    out = tmp_path / "grid"
+    first = run_grid(corpus, gold, small_grid_spec(), out)
+    ledger = out / "runs.jsonl"
+    with ledger.open("ab") as fh:
+        fh.write(ledger.read_bytes()[:40])  # half a line, no newline
+    torn = ledger.read_bytes()
+    with pytest.warns(RuntimeWarning, match="torn last line"):
+        assert load_ledger(out) == first
+    assert ledger.read_bytes() == torn
+    with pytest.warns(RuntimeWarning, match="torn last line"):
+        assert cli.main(["select", "--ledger", str(out), "--criterion", "mdl2",
+                         "--top", str(len(first))]) == 0
+    chosen = json.loads(capsys.readouterr().out)
+    assert sorted((r["penalty"], r["alpha"], r["beta"]) for r in chosen) == sorted(
+        r.key() for r in first)
+    assert ledger.read_bytes() == torn
 
 
 def test_grid_without_resume_starts_the_ledger_over(toy, tmp_path):
