@@ -51,6 +51,8 @@ def cases(src: str) -> None:
             f"{seg}-sign.txt --eq3-literal-sign",
             f"{seg}-stop.txt --paper-literal-stop --nmax 3 --alpha 2 --beta 2",
             f"{seg}.txt --trace-out {c}.jsonl --trace-snapshots --trace-every 7",
+            *(f"dump-lexicon fixtures/{c}.txt --out lexicon-{c}-n{m}.json --nmax {m}"
+              for m in (2, 4)),
             f"grid fixtures/{c}.txt --out grid-{c} --nmax {n} --alpha 0:0.2:0.1 "
             "--beta 0:0.2:0.1 --penalty xlogx x2 --trace --trace-every 5 --jobs 2"]
     for argv in map(str.split, commands):
@@ -95,7 +97,7 @@ def check(base: Path, head: Path, work: Path) -> list[str]:
     out, found = work / "head", compare(work / "base", work / "head")
     rows = [len(read(out / p).splitlines()) for p in (
         "parse.jsonl", "grid-toy/runs.jsonl", "grid-runs/runs.jsonl")]
-    least = {"toy.snap*.json": 2, "runs.snap*.json": 2, **{
+    least = {"toy.snap*.json": 2, "runs.snap*.json": 2, "lexicon-*-n?.json": 4, **{
         f"grid-{c}/{sub}/*": 1 for c in ("toy", "runs") for sub in ("traces", "boundaries")}}
     if rows != [6, 18, 18] or any(len([*out.glob(p)]) < k for p, k in least.items()):
         found.append(f"too little compared: {rows} lines, or fewer files than {least}")

@@ -83,7 +83,7 @@ def main() -> None:
                       LearnerOptions(trace_mode="none"), gold=gold)
             dt = time.perf_counter() - t0
             rep = evaluate_segmentation(corpus, gold,
-                                        res.hypothesis.boundaries)
+                                        res.hypothesis.starts[1:])
             rate = corpus.n_chars / dt if dt else float("inf")
             print(f"alpha={alpha:<4} beta={beta:<4} "
                   f"iters={res.iterations:<6} {dt:6.1f}s "

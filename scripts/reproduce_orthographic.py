@@ -57,7 +57,7 @@ def main() -> None:
                  gold=gold)
     print(f"{result.iterations} iterations in {time.time() - t0:.0f}s "
           f"({result.stopped})")
-    rep = evaluate_segmentation(corpus, gold, result.hypothesis.boundaries)
+    rep = evaluate_segmentation(corpus, gold, result.hypothesis.starts[1:])
     print(f"token  P={rep.token.p:.1f} R={rep.token.r:.1f} "
           f"F={rep.token.f:.1f}")
     print(f"bound  P={rep.boundary.p:.1f} R={rep.boundary.r:.1f} "
@@ -67,7 +67,7 @@ def main() -> None:
         trend = spearman_rho(list(range(len(fs))), fs)
         print(f"traced F start={fs[0]:.1f} end={fs[-1]:.1f} "
               f"trend rho={trend:+.2f}")
-    write_segmentation(result.hypothesis.boundaries, corpus,
+    write_segmentation(result.hypothesis.starts[1:], corpus,
                        out / "segmented.txt")
     print(f"wrote {out / 'segmented.txt'}")
 

@@ -55,11 +55,11 @@ def main() -> None:
     print("\n== zero-penalty controls ==")
     print(header)
     base = run(corpus, PenaltyParams(), LearnerOptions(trace_mode="none"))
-    rep = evaluate_segmentation(corpus, gold, base.hypothesis.boundaries)
+    rep = evaluate_segmentation(corpus, gold, base.hypothesis.starts[1:])
     print(fmt_row("base (natural stop)", base.iterations, 0.0, 0.0, rep))
     base500 = run(corpus, PenaltyParams(), LearnerOptions(
         stop_at=500, trace_mode="none"))
-    rep = evaluate_segmentation(corpus, gold, base500.hypothesis.boundaries)
+    rep = evaluate_segmentation(corpus, gold, base500.hypothesis.starts[1:])
     print(fmt_row("base (stop at 500)", base500.iterations, 0.0, 0.0, rep))
 
     def steps(step):

@@ -122,7 +122,7 @@ def _cmd_segment(ns: argparse.Namespace) -> int:
         trace_mode="light" if ns.trace_out else "none",
         trace_boundaries=bool(ns.trace_out and ns.trace_snapshots))
     result = _learner.run(corpus, _params(ns), options, gold=gold)
-    write_segmentation(result.hypothesis.boundaries, corpus, ns.out)
+    write_segmentation(result.hypothesis.starts[1:], corpus, ns.out)
     if ns.trace_out:
         _learner.write_trace(result.trace, ns.trace_out)
     _write_manifest(Path(ns.out), ns, corpus)

@@ -23,18 +23,16 @@ class CorpusError(ValueError):
     """Unreadable or malformed corpus input."""
 
 
-def positions(boundaries: Iterable[int], n_chars: int | None = None
-              ) -> np.ndarray:
-    """``boundaries`` as an int64 array, an int64 array as it is.  With
-    ``n_chars``, a position outside 1..n_chars-1 is refused."""
+def positions(boundaries: Iterable[int], n_chars: int) -> np.ndarray:
+    """``boundaries`` as an int64 array, an int64 array as it is; a position
+    outside 1..n_chars-1 is refused."""
     b = (boundaries.astype(np.int64, copy=False)
          if isinstance(boundaries, np.ndarray)
          else np.fromiter(boundaries, np.int64))
-    if n_chars is not None:
-        bad = b[(b <= 0) | (b >= n_chars)]
-        if len(bad):
-            raise ValueError(
-                f"boundary position {bad.min()} outside 1..{n_chars - 1}")
+    bad = b[(b <= 0) | (b >= n_chars)]
+    if len(bad):
+        raise ValueError(
+            f"boundary position {bad.min()} outside 1..{n_chars - 1}")
     return b
 
 

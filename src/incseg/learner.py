@@ -98,13 +98,19 @@ class CompressionEvent:
     objective: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SegmentationHypothesis:
-    """A finished (or traced) segmentation over a corpus' character stream."""
+    """A run's segmentation: the sorted int64 word ``starts`` and surface
+    ``ids`` that ``live_words`` gives (``eq=False``: arrays have no ==)."""
 
-    boundaries: frozenset[int]
-    seq: TokenSequence | None = None
-    lexicon: Lexicon | None = None
+    starts: np.ndarray
+    ids: np.ndarray
+    seq: TokenSequence
+    lexicon: Lexicon
+
+    @property
+    def boundaries(self) -> frozenset[int]:  # built on each read
+        return frozenset(self.starts[1:].tolist())
 
 
 @dataclass
@@ -297,12 +303,6 @@ class LearnerState:
         return CompressionEvent(self.iteration, t, cd.fresh_id,
                                 cd.occurrences, delta, self.objective)
 
-    def hypothesis(self) -> SegmentationHypothesis:
-        """The segmentation now: every live position but 0 is a boundary."""
-        live = np.flatnonzero(self.seq.tok >= 0)
-        return SegmentationHypothesis(frozenset(live[1:].tolist()),
-                                      self.seq, self.lex)
-
 
 def init_state(corpus: RawCorpus, params: PenaltyParams,
                options: LearnerOptions | None = None) -> LearnerState:
@@ -350,18 +350,20 @@ def run(corpus: RawCorpus, params: PenaltyParams,
     if options.trace_mode != "none" and (
             not trace or trace[-1].iteration != state.iteration):
         trace.append(_trace_record(state, corpus, gold_starts))
-    hyp = state.hypothesis()
+    hyp = SegmentationHypothesis(*live_words(state.seq, state.lex),
+                                 state.seq, state.lex)
     return RunResult(hyp, state.iteration, stopped, state.objective,
                      trace, time.perf_counter() - t0)
 
 
 def _trace_record(state: LearnerState, corpus: RawCorpus,
                   gold_starts: np.ndarray | None) -> TraceRecord:
-    seq = state.seq
+    seq, opts = state.seq, state.options
     rec = TraceRecord(iteration=state.iteration, objective=state.objective,
                       n_tokens=seq.total, n_types=seq.n_types(),
                       n_boundaries=seq.total - 1)
-    opts = state.options
+    if not opts.trace_boundaries and opts.trace_mode != "criteria":
+        return rec  # a light record without a snapshot keeps counts only
     starts, ids = live_words(seq, state.lex)
     if opts.trace_boundaries:
         rec.boundaries = starts[1:]

@@ -26,7 +26,6 @@ from . import metrics as _metrics
 from .corpus import GoldSegmentation, RawCorpus, positions
 from .criteria import CRITERIA
 from .learner import LearnerOptions, PenaltyParams
-from .lexmodel import live_words
 
 
 def parse_range(spec: str) -> tuple[float, ...]:
@@ -146,8 +145,8 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
     t0 = time.perf_counter()
     params = PenaltyParams(alpha=alpha, beta=beta, kind=kind)
     result = _learner.run(corpus, params, options, gold=gold)
-    starts, ids = live_words(result.hypothesis.seq, result.hypothesis.lexicon)
-    bounds = starts[1:]
+    hyp = result.hypothesis
+    bounds = hyp.starts[1:]
     trace_rel = None
     if options.trace_mode == "criteria":  # ends with a snapshot of bounds
         crit = result.trace[-1].criteria
@@ -156,7 +155,7 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
         _learner.write_trace(result.trace, out_dir / trace_rel)
     else:
         crit = {cid: cv.value for cid, cv in _criteria.evaluate(
-            _criteria.SegmentedText(corpus, starts, ids)).items()}
+            _criteria.SegmentedText(corpus, hyp.starts, hyp.ids)).items()}
     metrics = None
     if gold is not None:
         metrics = _metrics.evaluate_segmentation(corpus, gold, bounds).as_dict()
@@ -164,8 +163,8 @@ def _execute_cell(corpus: RawCorpus, gold: GoldSegmentation | None,
     rec = RunRecord(
         alpha=alpha, beta=beta, penalty=kind, n_max=options.n_max,
         iterations=result.iterations, stopped=result.stopped,
-        objective=result.objective, n_tokens=result.hypothesis.seq.total,
-        n_types=result.hypothesis.seq.n_types(),
+        objective=result.objective, n_tokens=hyp.seq.total,
+        n_types=hyp.seq.n_types(),
         n_boundaries=len(bounds), criteria=crit, metrics=metrics,
         boundary_digest=digest, boundary_file=f"boundaries/{rel}",
         trace_file=trace_rel, wall_time=time.perf_counter() - t0)

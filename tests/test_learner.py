@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from incseg.learner import (PENALTY_KINDS, LearnerOptions, PenaltyParams,
                             _cost_table, init_state, penalized_likelihood,
                             penalty, run, step, write_trace)
-from incseg.lexmodel import init_from_corpus
+from incseg.lexmodel import init_from_corpus, live_words
 
 from conftest import (benchmark_corpus, make_corpus, random_gold_text,
                       toy_text)
@@ -303,6 +303,27 @@ def test_hypothesis_boundaries_match_final_tokens():
     result = run(corpus, PenaltyParams())
     seq = result.hypothesis.seq
     assert result.hypothesis.boundaries == frozenset(boundaries(seq))
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_hypothesis_exports_live_words(seed, n_max):
+    """A run hands back its live word starts and surface ids as int64
+    arrays, and ``boundaries`` as a frozenset of ints the benchmark can
+    JSON-dump."""
+    rng = random.Random(seed)
+    text = random_gold_text(rng, rng.randint(20, 200), rng.randint(2, 6))
+    corpus, _ = make_corpus(text)
+    hyp = run(corpus, PenaltyParams(),
+              LearnerOptions(n_max=n_max, trace_mode="none")).hypothesis
+    assert hyp.starts.tolist() == np.flatnonzero(hyp.seq.tok >= 0).tolist()
+    assert hyp.ids.tolist() == live_words(hyp.seq, hyp.lexicon)[1].tolist()
+    assert hyp.starts.dtype == hyp.ids.dtype == np.int64
+    bounds = hyp.boundaries
+    assert type(bounds) is frozenset
+    assert all(type(b) is int for b in bounds)
+    assert bounds == set(hyp.starts[1:].tolist())
+    assert json.loads(json.dumps(sorted(bounds))) == sorted(bounds)
 
 
 def test_trace_records_every_interval():

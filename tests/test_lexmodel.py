@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from incseg import lexmodel
 from incseg.cli import main
 from incseg.ensemble import majority_vote
-from incseg.learner import (LearnerOptions, PenaltyParams, init_state,
-                            penalty, run)
-from incseg.lexmodel import CandidateIndex, init_from_corpus
+from incseg.learner import (LearnerOptions, PenaltyParams,
+                            SegmentationHypothesis, init_state, penalty, run)
+from incseg.lexmodel import CandidateIndex, init_from_corpus, live_words
 from incseg.search import load_boundaries, save_boundaries
 
 from conftest import make_corpus, random_gold_text
@@ -244,7 +244,9 @@ def test_blocks_and_boundaries_are_json_ints(text, merged, tmp_path):
     state.index.apply(id_of(state.index, ids(corpus, merged)), state.lex)
     blocks = state.seq.to_blocks()
     assert json.loads(json.dumps(blocks)) == blocks
-    bounds = sorted(state.hypothesis().boundaries)
+    hyp = SegmentationHypothesis(*live_words(state.seq, state.lex),
+                                 state.seq, state.lex)
+    bounds = sorted(hyp.boundaries)
     assert bounds == sorted(boundaries(state.seq))
     assert json.loads(json.dumps(bounds)) == bounds
     _, rel = save_boundaries(bounds, tmp_path)
