@@ -18,6 +18,15 @@ from compare import differences  # noqa: E402  (bench/compare.py)
 RUNS = "aaaa abab\naab cdcd ccc aaaa\nbababa aabaab\naaaaaa dcdc abab\nccc aab aaaa\n"
 
 
+def uncapped(c: str) -> dict[str, str]:
+    """The flags of each uncapped ``segment`` run on the corpus ``c``, by output name; each
+    writes a light trace, whose last row holds the ``repr`` of the run's objective."""
+    flags = {f"{c}-n{m}-{a}": f"--nmax {m} --alpha {a} --beta {a} --penalty {k}"
+             for m in (2, 3, 4) for a, k in ((0, "xlogx"), (0.1, "xsquared"))}
+    return {**flags, f"{c}-sign": "--eq3-literal-sign",
+            f"{c}-stop": "--paper-literal-stop --nmax 3 --alpha 2 --beta 2"}
+
+
 def cases(src: str) -> None:
     """Every case of the tree at ``src``, run in the current directory so that
     the paths that outputs name match; a command's stdout goes to ``<out>.log``."""
@@ -45,12 +54,10 @@ def cases(src: str) -> None:
                               for k, v in fields.items()}), file=fh)
     commands = []
     for c, n in (("toy", 2), ("runs", 3)):
-        seg = f"segment fixtures/{c}.txt --out {c}"
-        commands += [f"{seg}-n{m}-{a}.txt --nmax {m} --alpha {a} --beta {a} --penalty {k}"
-                     for m in (2, 3, 4) for a, k in ((0, "xlogx"), (0.1, "xsquared"))] + [
-            f"{seg}-sign.txt --eq3-literal-sign",
-            f"{seg}-stop.txt --paper-literal-stop --nmax 3 --alpha 2 --beta 2",
-            f"{seg}.txt --trace-out {c}.jsonl --trace-snapshots --trace-every 7",
+        seg = f"segment fixtures/{c}.txt --out"
+        commands += [f"{seg} {o}.txt {flags} --trace-out {o}.jsonl"
+                     for o, flags in uncapped(c).items()] + [
+            f"{seg} {c}.txt --trace-out {c}.jsonl --trace-snapshots --trace-every 7",
             *(f"dump-lexicon fixtures/{c}.txt --out lexicon-{c}-n{m}.json --nmax {m}"
               for m in (2, 4)),
             f"grid fixtures/{c}.txt --out grid-{c} --nmax {n} --alpha 0:0.2:0.1 "
@@ -98,7 +105,8 @@ def check(base: Path, head: Path, work: Path) -> list[str]:
     rows = [len(read(out / p).splitlines()) for p in (
         "parse.jsonl", "grid-toy/runs.jsonl", "grid-runs/runs.jsonl")]
     least = {"toy.snap*.json": 2, "runs.snap*.json": 2, "lexicon-*-n?.json": 4, **{
-        f"grid-{c}/{sub}/*": 1 for c in ("toy", "runs") for sub in ("traces", "boundaries")}}
+        f"grid-{c}/{sub}/*": 1 for c in ("toy", "runs") for sub in ("traces", "boundaries")},
+        **{f"{o}.jsonl": 1 for c in ("toy", "runs") for o in uncapped(c)}}
     if rows != [6, 18, 18] or any(len([*out.glob(p)]) < k for p, k in least.items()):
         found.append(f"too little compared: {rows} lines, or fewer files than {least}")
     return found

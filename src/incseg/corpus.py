@@ -56,6 +56,26 @@ def distinct(v: np.ndarray) -> np.ndarray:
     return v[keep]
 
 
+def group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable order of the non-negative int64 ``keys``, and where each run
+    of equal keys starts in it and its length: one sort of each row index
+    packed under its key when both fit in 63 bits, else a stable argsort."""
+    b = len(keys).bit_length()  # bits enough for a row index
+    if int(keys.max(initial=0)) >> (63 - b):  # too wide to pack
+        order = np.argsort(keys, kind="stable")
+        return (order, *runs(keys[order]))
+    packed = np.sort(keys << b | np.arange(len(keys)))
+    return (packed & ((1 << b) - 1), *runs(packed >> b))
+
+
+def dense(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct ``keys``, and each one's count."""
+    order, start, count = group(keys)
+    rank = np.empty(len(keys), np.int64)
+    rank[order] = np.repeat(np.arange(len(start)), count)
+    return rank, count
+
+
 @dataclass
 class RawCorpus:
     """Unsegmented input: character codes, block offsets and restorable
@@ -106,27 +126,25 @@ class RawCorpus:
 
         Words of one length are typed together: their rows of character
         ids are packed column by column into int64 keys in base
-        ``len(chars)``, ranked densely whenever the next column could
-        overflow.
+        ``len(chars)``, ranked densely every ``per`` columns, so few that
+        ``group`` can still pack a row index under each key.
         """
         base = max(len(self.chars), 2)
         tid = np.empty(len(starts), np.int64)
         n_types = 0
-        order = np.argsort(lengths, kind="stable")
-        buckets = np.flatnonzero(np.diff(lengths[order])) + 1
-        for idx in np.split(order, buckets):
-            key = np.zeros(len(idx), np.int64)
-            space = 1  # key < space
+        order, first, size = group(lengths)
+        for s, c in zip(first.tolist(), size.tolist()):
+            idx = order[s:s + c]
+            key = np.zeros(c, np.int64)
+            per = max((63 - 2 * c.bit_length()) // (base - 1).bit_length(), 1)
             at = starts[idx]
             for j in range(int(lengths[idx[0]])):
-                if space * base >= 2**62:
-                    _, key = np.unique(key, return_inverse=True)
-                    space = len(idx)
+                if j and j % per == 0:
+                    key = dense(key)[0]
                 key = key * base + self.codes[at + j]
-                space *= base
-            distinct_keys, key = np.unique(key, return_inverse=True)
+            key, count = dense(key)
             tid[idx] = key + n_types
-            n_types += len(distinct_keys)
+            n_types += len(count)
         return tid
 
     def _render(self, starts: np.ndarray) -> str:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum, log
-from typing import Iterable
 
 import numpy as np
 
-from .corpus import RawCorpus
+from .corpus import RawCorpus, dense, runs
 
 CRITERIA = ("aic1", "aic2", "aic3", "mdl1", "mdl2", "mdl3")
 
@@ -80,9 +79,7 @@ class SegmentedText:
             closes = np.concatenate(([False], closes[:-1])) & ~first
             at = np.flatnonzero(closes)
             hist = gram[at - 1]
-            _, gram_at, count = np.unique(hist * n_types + tid[at],
-                                          return_inverse=True,
-                                          return_counts=True)
+            gram_at, count = dense(hist * n_types + tid[at])
             a, b = a.copy(), b.copy()
             a[at], b[at] = count[gram_at], np.bincount(hist)[hist]
             self.terms[n], self.k[n] = (a, b), len(count)
@@ -110,8 +107,9 @@ def neg_log_likelihood(st: SegmentedText, n: int) -> float:
     if n == 1:
         return fsum(-c * log(c / st.total) for c in st.type_counts.tolist())
     a, b = st.terms[n]
-    key, mult = np.unique(a * (st.total + 1) + b, return_counts=True)
-    ratio = (key // (st.total + 1) / (key % (st.total + 1))).tolist()
+    key = np.sort(a * (st.total + 1) + b)  # values alone: no row order
+    start, mult = runs(key)
+    ratio = np.divide(*np.divmod(key[start], st.total + 1)).tolist()
     return repeated_fsum(-np.fromiter(map(log, ratio), float, len(ratio)),
                          mult)
 
@@ -157,14 +155,6 @@ def evaluate(st: SegmentedText) -> dict[str, CriterionValue]:
                                   nll + 0.5 * k_n * log(big_n) + cbl,
                                   nll, k_n, cbl))
     return {cv.id: cv for cv in aic + mdl}
-
-
-def evaluate_boundaries(corpus: RawCorpus, boundaries: Iterable[int]
-                        ) -> dict[str, CriterionValue]:
-    """Score a boundary set over the corpus, its words typed by characters."""
-    starts = corpus.word_starts(boundaries)
-    return evaluate(SegmentedText(corpus, starts, corpus.type_words(
-        starts, np.diff(starts, append=corpus.n_chars))))
 
 
 def in_bits(value_nats: float) -> float:

@@ -347,24 +347,25 @@ def run(corpus: RawCorpus, params: PenaltyParams,
         if (options.trace_mode != "none"
                 and ev.iteration % options.trace_interval == 0):
             trace.append(_trace_record(state, corpus, gold_starts))
+    words = live_words(state.seq, state.lex)
     if options.trace_mode != "none" and (
             not trace or trace[-1].iteration != state.iteration):
-        trace.append(_trace_record(state, corpus, gold_starts))
-    hyp = SegmentationHypothesis(*live_words(state.seq, state.lex),
-                                 state.seq, state.lex)
+        trace.append(_trace_record(state, corpus, gold_starts, words))
+    hyp = SegmentationHypothesis(*words, state.seq, state.lex)
     return RunResult(hyp, state.iteration, stopped, state.objective,
                      trace, time.perf_counter() - t0)
 
 
 def _trace_record(state: LearnerState, corpus: RawCorpus,
-                  gold_starts: np.ndarray | None) -> TraceRecord:
+                  gold_starts: np.ndarray | None,
+                  words: tuple | None = None) -> TraceRecord:
     seq, opts = state.seq, state.options
     rec = TraceRecord(iteration=state.iteration, objective=state.objective,
                       n_tokens=seq.total, n_types=seq.n_types(),
                       n_boundaries=seq.total - 1)
     if not opts.trace_boundaries and opts.trace_mode != "criteria":
         return rec  # a light record without a snapshot keeps counts only
-    starts, ids = live_words(seq, state.lex)
+    starts, ids = words or live_words(seq, state.lex)
     if opts.trace_boundaries:
         rec.boundaries = starts[1:]
     if opts.trace_mode == "criteria":

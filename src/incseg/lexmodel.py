@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import RawCorpus, distinct, runs
+from .corpus import RawCorpus, distinct, group
 
 TokenTuple = tuple[int, ...]
 # the occurrence pool's size, in multiples of the positions it starts with
@@ -169,10 +169,10 @@ class CandidateIndex:
     and 0 elsewhere; ``order[i]``, its length, 0 while i is free;
     ``m[i]``, its greedy occurrence count, the only copy there is;
     ``_pool[_at[i]:_at[i] + _len[i]]``, the positions it held at birth or
-    at the pool's last rebuild, which hold all it has now, as an id's
-    positions only leave it.  Ids below ``size`` have been used.  A greedy
-    occurrence is any live one, but for a self-overlapping id: one rule,
-    ``_greedy``, gives those sites and the counts ``_settle`` redoes.
+    at the pool's last rebuild, ascending, which hold all it has now, as
+    an id's positions only leave it.  Ids below ``size`` have been used.  A
+    greedy occurrence is any live one, but for a self-overlapping id: one
+    rule, ``_greedy``, gives those sites and the counts ``_settle`` redoes.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
@@ -196,11 +196,11 @@ class CandidateIndex:
         self._fill = 0  # pool entries in use
         self._settle(self._register([live] * len(self.orders)))
 
-    def _intern(self, n: int, keys: np.ndarray) -> np.ndarray:
-        """Ids for the order-n ``keys``, (prefix id, last token) packed in
-        an int64, a bigram's first token standing for the prefix id.  No
-        live n-gram has one of these keys, so each takes a free id, last
-        freed first, then an unused one, and gets its columns."""
+    def _intern(self, n: int, keys: np.ndarray, w: int) -> np.ndarray:
+        """Ids for the order-n ``keys``, prefix id << w | last token, w the
+        bits of a token id, a bigram's first token standing for the prefix
+        id.  No live n-gram has one of these keys, so each takes a free id,
+        last freed first, then an unused one, and gets its columns."""
         if not len(keys):  # spare the fixed cost below
             return keys
         free = self._free
@@ -216,8 +216,8 @@ class CandidateIndex:
                 setattr(self, name, np.pad(
                     col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
         pairs, mult, over = _slot_columns(n)
-        t = [keys >> 32] if n == 2 else list(self.comp.take(keys >> 32, 1))
-        t[n - 1:] = [keys & 0xFFFFFFFF]
+        t = [keys >> w] if n == 2 else list(self.comp.take(keys >> w, 1))
+        t[n - 1:] = [keys & ((1 << w) - 1)]
         code = np.packbits([t[a] == t[b] for a, b in pairs], axis=0,
                            bitorder="little")[0]
         for b in range(self.n_max):  # a reused id's padding rows read 0
@@ -231,9 +231,10 @@ class CandidateIndex:
     def _register(self, reach: list[np.ndarray]) -> list[np.ndarray]:
         """Intern and count the order-n n-grams that start at the distinct
         live positions ``reach[n - 2]``, none of them live yet, and give
-        each id born its positions' slice of the pool; returns the ids
-        born, per order."""
+        each id born its positions' slice of the pool, ascending; returns
+        the ids born, per order."""
         tok, nxt = self.seq.tok, self.seq.nxt
+        w = (self.seq.n_ids - 1).bit_length()
         met = []
         for n, pos in zip(self.orders, reach):
             q = pos
@@ -242,12 +243,11 @@ class CandidateIndex:
                 ok = q != -1
                 pos, q = pos[ok], q[ok]
             head = tok[pos] if n == 2 else self.gram[n - 1][pos]
-            keys = head << 32 | tok[q]
-            perm = np.argsort(keys)
-            keys, pos = keys[perm], pos[perm]
-            start, cnt = runs(keys)
-            ids = self._intern(n, keys[start])
+            keys = head << w | tok[q]
+            order, start, cnt = group(keys)
+            ids = self._intern(n, keys[order[start]], w)
             self.m[ids] = cnt  # a free id holds m 0
+            pos = pos[order]
             self.gram[n][pos] = np.repeat(ids, cnt)
             self._append(ids, start, cnt, pos)
             met.append(ids)
@@ -273,9 +273,9 @@ class CandidateIndex:
         self._len[:] = 0  # free ids own nothing
         self._fill = 0
         for n, pos in zip(self.orders, live):
-            key = np.sort(self.gram[n][pos] << 32 | pos)
-            start, cnt = runs(key >> 32)
-            self._append(key[start] >> 32, start, cnt, key & 0xFFFFFFFF)
+            order, start, cnt = group(self.gram[n][pos])
+            pos = pos[order]
+            self._append(self.gram[n][pos[start]], start, cnt, pos)
 
     def _deregister(self, reach: list[np.ndarray]) -> list[np.ndarray]:
         """Uncount the order-n n-grams that start at ``reach[n - 2]``;
@@ -292,18 +292,17 @@ class CandidateIndex:
 
     def _greedy(self, n: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """(start, id) of every greedy occurrence of the order-n
-        self-overlapping ``ids``, by id, then left to right, from each id's
-        pool slice less the positions that have left it.  A row that starts
-        after the end of the row before it, of the same id, is kept, as
-        ends rise with starts; only the rows that clash walk the frontier,
-        from the end of the last row that did not clash."""
+        self-overlapping ascending ``ids``, by id, then left to right, from
+        each id's pool slice less the positions that have left it.  A row
+        that starts after the end of the row before it, of the same id, is
+        kept, as ends rise with starts; only the rows that clash walk the
+        frontier, from the end of the last row that did not clash."""
         at, cnt = self._at[ids], self._len[ids]
         who = np.repeat(ids, cnt)
         skip = np.repeat(at - cnt.cumsum() + cnt, cnt)  # pool index less row
         pos = self._pool[skip + np.arange(len(who))]
         keep = self.gram[n][pos] == who
-        key = np.sort(who[keep] << 32 | pos[keep])
-        pos, who = key & 0xFFFFFFFF, key >> 32
+        pos, who = pos[keep], who[keep]
         end = pos
         for _ in range(n - 1):
             end = self.seq.nxt[end]
@@ -330,7 +329,7 @@ class CandidateIndex:
             pos = self._greedy(n, np.array([i]))[0]
         else:  # every live position: its pool slice, less those that left
             pos = self._pool[self._at[i]:self._at[i] + self._len[i]]
-            pos = np.sort(pos[self.gram[n][pos] == i])
+            pos = pos[self.gram[n][pos] == i]
         sites = np.empty((len(pos), n), np.int64)
         sites[:, 0] = pos
         for j in range(1, n):

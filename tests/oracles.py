@@ -18,6 +18,7 @@ from math import fsum, log
 import numpy as np
 
 from incseg.corpus import CorpusError
+from incseg.criteria import SegmentedText
 from incseg.learner import _cost_table, penalized_likelihood
 
 
@@ -91,6 +92,14 @@ def reference_render(blocks, separators, boundaries):
 
 
 # -- segmentations and criteria -----------------------------------------------
+
+
+def char_table(corpus, boundaries):
+    """The package's word table of ``boundaries``, its words typed by
+    characters, for scoring a boundary set with ``criteria.evaluate``."""
+    starts = corpus.word_starts(boundaries)
+    return SegmentedText(corpus, starts, corpus.type_words(
+        starts, np.diff(starts, append=corpus.n_chars)))
 
 
 def enumerate_segmentations(corpus):
@@ -423,7 +432,8 @@ def verify_index(index):
     that each live id is one distinct n-gram counted as a full scan counts
     it, and that its columns (order, zero-padded tokens, multiplicity of
     each distinct token at its first slot, self-overlap) match the tuple,
-    and that its slice of the occurrence pool holds its live positions."""
+    and that its slice of the occurrence pool holds its live positions,
+    strictly ascending, so that reading them in order needs no sort."""
     seq = index.seq
     tok, nxt = seq.tok.tolist(), seq.nxt.tolist()
     live = {p for block in walk(seq) for p in block}
@@ -458,7 +468,9 @@ def verify_index(index):
         # the id is live at, the first of which is the tie-break's
         at, ln = int(index._at[i]), int(index._len[i])
         assert 0 <= at and at + ln <= index._fill <= len(index._pool), i
-        held = set(index._pool[at:at + ln].tolist())
+        held = index._pool[at:at + ln]
+        assert (np.diff(held) > 0).all(), i
+        held = set(held.tolist())
         gram = index.gram[n]
         assert set(np.flatnonzero(gram == i).tolist()) <= held, i
         assert index.first_position(i) == int(np.argmax(gram == i)), i

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from incseg.corpus import load_gold, default_punctuation
-from incseg.criteria import evaluate_boundaries
+from incseg.criteria import evaluate
 from incseg.ensemble import majority_vote
 from incseg.learner import (LearnerOptions, PenaltyParams, init_state,
                             penalized_likelihood, run, step)
@@ -32,7 +32,7 @@ from incseg.search import (GridSpec, load_boundaries, run_grid,
 
 from conftest import make_corpus, random_gold_text
 from fixtures_metrics import CASES
-from oracles import (definition_spearman, enumerate_segmentations,
+from oracles import (char_table, definition_spearman, enumerate_segmentations,
                      oracle_unigram_scores, verify_sequence)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -192,7 +192,7 @@ def test_c02_bruteforce_segmentation_oracle():
         for bounds in enumerate_segmentations(corpus):
             if bounds == hyp:
                 matched = True
-                vals = evaluate_boundaries(corpus, bounds)
+                vals = evaluate(char_table(corpus, bounds))
                 aic_o, mdl_o = oracle_unigram_scores(corpus, bounds)
                 assert vals["aic1"].value == aic_o, text
                 assert vals["mdl1"].value == mdl_o, text

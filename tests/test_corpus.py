@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from incseg.corpus import (CorpusError, default_punctuation, distinct,
-                           load_gold, write_segmentation)
+from incseg.corpus import (CorpusError, default_punctuation, dense,
+                           distinct, group, load_gold, runs,
+                           write_segmentation)
 
 from conftest import make_corpus
 from oracles import reference_parse, reference_render
@@ -314,3 +315,35 @@ def test_distinct_is_unique(values):
     assert got.dtype == np.int64
     assert got.tolist() == np.unique(v).tolist()
     assert v.tolist() == values  # the input is left alone
+
+
+# n rows of w-bit keys take the packed sort iff w + n.bit_length() <= 63:
+# up to 40 rows, widths to 56 always do, 62 and 63 mostly fall back to the
+# stable argsort, and 57-59 go either way with the row count
+_WIDE = st.sampled_from([1, 2, 40, 56, 57, 58, 59, 60, 61, 62, 63]).flatmap(
+    lambda w: st.integers(0, 2**w - 1)
+    | st.sampled_from([2**w - 1, 2**(w - 1), 2**(w - 1) - 1, 0]))
+
+
+@given(st.lists(_WIDE, min_size=1, max_size=4), st.data())
+@settings(max_examples=300)
+def test_group_is_a_stable_sort_into_runs(pool, data):
+    # few distinct keys, so that most rows tie
+    values = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+    keys = np.array(values, np.int64)
+    order, start, count = group(keys)
+    want = np.argsort(keys, kind="stable")
+    assert order.dtype == np.int64 and order.tolist() == want.tolist()
+    assert [x.tolist() for x in (start, count)] == [
+        x.tolist() for x in runs(keys[want])]
+    rank, count = dense(keys)
+    _, inverse, counts = np.unique(keys, return_inverse=True,
+                                   return_counts=True)
+    assert rank.tolist() == inverse.tolist()
+    assert count.tolist() == counts.tolist()
+    assert keys.tolist() == values  # the input is left alone
+
+
+def test_group_of_no_keys_is_empty():
+    keys = np.zeros(0, np.int64)
+    assert [len(x) for x in (*group(keys), *dense(keys))] == [0] * 5

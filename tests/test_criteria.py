@@ -13,22 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incseg.criteria import (CRITERIA, SegmentedText, codebook_length,
-                             evaluate, evaluate_boundaries, in_bits,
-                             neg_log_likelihood, repeated_fsum)
+                             evaluate, in_bits, neg_log_likelihood,
+                             repeated_fsum)
 from incseg.learner import (LearnerOptions, LearnerState, PenaltyParams, run,
                             step)
 from incseg.lexmodel import init_from_corpus, live_words
 
 from conftest import benchmark_corpus, make_corpus, random_gold_text
-from oracles import (boundaries, enumerate_segmentations, oracle_criteria,
-                     oracle_unigram_scores)
-
-
-def char_table(corpus, boundaries):
-    """The word table of ``boundaries``, its words typed by characters."""
-    starts = corpus.word_starts(boundaries)
-    return SegmentedText(corpus, starts, corpus.type_words(
-        starts, np.diff(starts, append=corpus.n_chars)))
+from oracles import (boundaries, char_table, enumerate_segmentations,
+                     oracle_criteria, oracle_unigram_scores)
 
 
 def seg_for(text, boundaries):
@@ -180,7 +173,7 @@ def test_nll_doubles_when_corpus_doubles():
 
 def test_evaluate_boundaries_all_six():
     corpus, gold = make_corpus("tupa se\nkomi tupa\n")
-    vals = evaluate_boundaries(corpus, gold.boundaries)
+    vals = evaluate(char_table(corpus, gold.boundaries))
     assert tuple(vals) == CRITERIA
     assert vals["mdl1"].value > 0
 
@@ -195,7 +188,7 @@ _BLOCKS = st.lists(st.lists(st.text("abc", min_size=1, max_size=3),
 @settings(max_examples=150, deadline=None)
 def test_all_six_match_oracle_exactly(blocks):
     corpus, gold = make_corpus("".join(" ".join(b) + "\n" for b in blocks))
-    got = _fields(evaluate_boundaries(corpus, gold.boundaries))
+    got = _fields(evaluate(char_table(corpus, gold.boundaries)))
     assert tuple(got) == CRITERIA
     assert got == oracle_criteria(corpus, gold.boundaries)
 
@@ -210,7 +203,7 @@ def test_end_mark_is_not_a_character():
     scores = []
     for text in ("ax b\na bx\n", "a\x00 b\na b\x00\n"):
         corpus, gold = make_corpus(text)
-        scores.append(_fields(evaluate_boundaries(corpus, gold.boundaries)))
+        scores.append(_fields(evaluate(char_table(corpus, gold.boundaries))))
         assert scores[-1] == oracle_criteria(corpus, gold.boundaries)
     assert scores[0] == scores[1]
 
@@ -222,7 +215,7 @@ def test_renaming_a_character_to_nul_keeps_all_six(blocks):
     scores = []
     for t in (text, text.replace("a", "\x00")):
         corpus, gold = make_corpus(t)
-        scores.append(_fields(evaluate_boundaries(corpus, gold.boundaries)))
+        scores.append(_fields(evaluate(char_table(corpus, gold.boundaries))))
     assert scores[0] == scores[1]
 
 
@@ -230,7 +223,7 @@ def test_long_words_over_two_symbols_stay_distinct():
     # 65 symbols in base 2 overflow an int64 key, and these two words
     # differ only in their first one
     corpus, gold = make_corpus("a" + "b" * 64 + " " + "b" * 65 + "\n")
-    vals = _fields(evaluate_boundaries(corpus, gold.boundaries))
+    vals = _fields(evaluate(char_table(corpus, gold.boundaries)))
     assert vals == oracle_criteria(corpus, gold.boundaries)
     assert vals["mdl1"][2] == 2
 
@@ -246,7 +239,7 @@ def test_learner_snapshots_match_oracle_exactly(tmp_path):
         snapshots += [tr.boundaries for tr in res.trace]
     assert len(snapshots) >= 8
     for bounds in snapshots:
-        assert (_fields(evaluate_boundaries(corpus, bounds))
+        assert (_fields(evaluate(char_table(corpus, bounds)))
                 == oracle_criteria(corpus, bounds))
 
 
@@ -276,7 +269,7 @@ def test_surface_canonicalization_merges_duplicate_types():
     bounds = boundaries(seq)
     assert bounds == {3, 6}
     assert char_table(corpus, bounds).type_counts.tolist() == [1, 2]
-    assert (_fields(evaluate_boundaries(corpus, bounds))
+    assert (_fields(evaluate(char_table(corpus, bounds)))
             == oracle_criteria(corpus, bounds))
 
 
@@ -400,7 +393,7 @@ def test_enumerator_agrees_on_learner_output(seed):
     for bounds in enumerate_segmentations(corpus):
         if bounds == hyp:
             seen = True
-            vals = evaluate_boundaries(corpus, bounds)
+            vals = evaluate(char_table(corpus, bounds))
             aic_o, mdl_o = oracle_unigram_scores(corpus, bounds)
             assert vals["aic1"].value == aic_o
             assert vals["mdl1"].value == mdl_o

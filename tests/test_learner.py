@@ -351,6 +351,25 @@ def test_trace_criteria_mode_carries_scores(toy_corpus):
         assert rec.token_f is not None
 
 
+def test_final_state_takes_its_live_words_once(monkeypatch):
+    # the closing criteria record and the exported hypothesis share them
+    import incseg.learner as learner_mod
+    corpus, gold = make_corpus(toy_text(80, seed=8))
+    calls = []
+
+    def counted(seq, lex):
+        calls.append(seq.total)
+        return live_words(seq, lex)
+
+    monkeypatch.setattr(learner_mod, "live_words", counted)
+    result = run(corpus, PenaltyParams(),
+                 LearnerOptions(stop_at=30, trace_interval=1000,
+                                trace_mode="criteria"), gold=gold)
+    assert result.iterations == 30 and len(result.trace) == 1
+    assert result.trace[0].criteria is not None
+    assert calls == [result.trace[0].n_tokens]
+
+
 def test_trace_snapshots_are_int64_arrays_written_as_ints(tmp_path):
     corpus, _ = make_corpus(toy_text(60, seed=8))
     result = run(corpus, PenaltyParams(),

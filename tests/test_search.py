@@ -16,6 +16,7 @@ from incseg import cli
 from incseg.learner import LearnerOptions
 
 from conftest import make_corpus, toy_text
+from oracles import char_table
 
 
 def small_grid_spec():
@@ -320,8 +321,7 @@ def test_traced_cell_scores_final_boundaries_once(toy, tmp_path,
     assert len(calls) == len(rows)  # one per snapshot, none more
     bounds = load_boundaries(tmp_path / "g" / rec.boundary_file)
     assert rec.criteria == {cid: cv.value for cid, cv in
-                            criteria_mod.evaluate_boundaries(
-                                corpus, bounds).items()}
+                            real(char_table(corpus, bounds)).items()}
 
 
 
