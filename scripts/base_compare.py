@@ -58,6 +58,9 @@ def cases(src: str) -> None:
         commands += [f"{seg} {o}.txt {flags} --trace-out {o}.jsonl"
                      for o, flags in uncapped(c).items()] + [
             f"{seg} {c}.txt --trace-out {c}.jsonl --trace-snapshots --trace-every 7",
+            # a run that stops on the trace interval: its last record is the loop's
+            f"{seg} {c}-at21.txt --trace-out {c}-at21.jsonl --trace-snapshots "
+            "--trace-every 7 --stop-at 21",
             *(f"dump-lexicon fixtures/{c}.txt --out lexicon-{c}-n{m}.json --nmax {m}"
               for m in (2, 4)),
             f"grid fixtures/{c}.txt --out grid-{c} --nmax {n} --alpha 0:0.2:0.1 "
@@ -104,7 +107,8 @@ def check(base: Path, head: Path, work: Path) -> list[str]:
     out, found = work / "head", compare(work / "base", work / "head")
     rows = [len(read(out / p).splitlines()) for p in (
         "parse.jsonl", "grid-toy/runs.jsonl", "grid-runs/runs.jsonl")]
-    least = {"toy.snap*.json": 2, "runs.snap*.json": 2, "lexicon-*-n?.json": 4, **{
+    least = {"toy.snap*.json": 2, "runs.snap*.json": 2, "toy-at21.snap*.json": 3,
+             "runs-at21.snap*.json": 3, "lexicon-*-n?.json": 4, **{
         f"grid-{c}/{sub}/*": 1 for c in ("toy", "runs") for sub in ("traces", "boundaries")},
         **{f"{o}.jsonl": 1 for c in ("toy", "runs") for o in uncapped(c)}}
     if rows != [6, 18, 18] or any(len([*out.glob(p)]) < k for p, k in least.items()):

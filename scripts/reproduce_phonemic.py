@@ -21,7 +21,8 @@ from incseg.ensemble import majority_vote
 from incseg.learner import LearnerOptions, PenaltyParams, run
 from incseg.metrics import correlation_report, evaluate_segmentation
 from incseg.search import (GridSpec, correlation_rows, load_boundaries,
-                           run_grid, select_family_minimum, select_top_k)
+                           parse_range, run_grid, select_family_minimum,
+                           select_top_k)
 
 
 def fmt_row(label, value, alpha, beta, rep):
@@ -62,17 +63,13 @@ def main() -> None:
     rep = evaluate_segmentation(corpus, gold, base500.hypothesis.starts[1:])
     print(fmt_row("base (stop at 500)", base500.iterations, 0.0, 0.0, rep))
 
-    def steps(step):
-        n = int(args.max / step + 1e-9) + 1
-        return tuple(round(i * step, 10) for i in range(n))
-
+    alphas, betas = (parse_range(f"0:{args.max}:{step}")
+                     for step in (args.alpha_step, args.beta_step))
     for kind in args.penalties:
-        print(f"\n== {kind} grid "
-              f"({len(steps(args.alpha_step))}x{len(steps(args.beta_step))}) ==")
+        print(f"\n== {kind} grid ({len(alphas)}x{len(betas)}) ==")
         t0 = time.time()
         records = run_grid(
-            corpus, gold,
-            GridSpec(steps(args.alpha_step), steps(args.beta_step), (kind,)),
+            corpus, gold, GridSpec(alphas, betas, (kind,)),
             out / kind, options=LearnerOptions(trace_mode="none"),
             jobs=args.jobs, trace=True)
         print(f"grid done in {time.time() - t0:.0f}s")

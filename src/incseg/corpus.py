@@ -244,7 +244,7 @@ def load_gold(
     del cid
     edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
     if not len(edges):
-        raise CorpusError("corpus is entirely punctuation")
+        raise CorpusError(f"{path}: corpus is entirely punctuation")
     starts, ends = edges[::2], edges[1::2]
     # kept characters before the first word, after each one and after the
     # last; they lie only between blocks, so each block opens a separator

@@ -74,27 +74,26 @@ class TokenSequence:
     swallowed p; ``nxt``/``prv`` link each block's live positions and hold
     -1 at block edges, so no link, and no candidate n-gram, crosses one.
     A merge keeps the leftmost position of its span, so a live position is
-    also the character offset where its token starts.  Token ids below
-    ``n_ids`` are in use; ``counts`` and ``lengths`` hold 0 past them."""
+    also the character offset where its token starts.  The lexicon hands
+    out the token ids, ``new_token`` gives each its slots, which hold 0
+    past the ids in use; ``changed`` marks the tokens whose counts a merge
+    changed, all at first, until the scorer reads and clears it."""
 
     tok: np.ndarray
     nxt: np.ndarray
     prv: np.ndarray
     counts: np.ndarray  # int64, one slot per token id, and spare slots
     lengths: np.ndarray  # int64, one slot per token id, and spare slots
+    changed: np.ndarray  # bool, one slot per token id, and spare slots
     total: int
     n_chars: int
     offsets: np.ndarray  # the corpus's block offsets
-    n_ids: int
 
-    def new_token(self, length: int) -> int:
-        t = self.n_ids
-        if t == len(self.counts):  # double both
-            self.counts = np.pad(self.counts, (0, t))
-            self.lengths = np.pad(self.lengths, (0, t))
+    def new_token(self, t: int, length: int) -> None:
+        if t == len(self.counts):  # double all three
+            for name in ("counts", "lengths", "changed"):
+                setattr(self, name, np.pad(getattr(self, name), (0, t)))
         self.lengths[t] = length
-        self.n_ids = t + 1
-        return t
 
     def merge(self, sites: np.ndarray, fresh: int) -> None:
         """Collapse each row of ``sites``, the live positions of one
@@ -105,6 +104,7 @@ class TokenSequence:
         for w in tok[sites[0]].tolist():
             self.counts[w] -= k
         self.counts[fresh] += k
+        self.changed[np.append(tok[sites[0]], fresh)] = True
         self.total -= k * (n - 1)
         starts = sites[:, 0]
         after = nxt[sites[:, -1]]
@@ -138,8 +138,8 @@ def init_from_corpus(corpus: RawCorpus) -> tuple[TokenSequence, Lexicon]:
     prv = np.arange(-1, n - 1, dtype=np.int64)
     prv[starts] = -1
     counts = np.bincount(tok, minlength=n_base)
-    seq = TokenSequence(tok, nxt, prv, counts, np.ones(n_base, np.int64), n,
-                        n, starts, n_base)
+    seq = TokenSequence(tok, nxt, prv, counts, np.ones(n_base, np.int64),
+                        np.ones(n_base, bool), n, n, starts)
     return seq, Lexicon(corpus.chars)
 
 
@@ -170,9 +170,11 @@ class CandidateIndex:
     ``m[i]``, its greedy occurrence count, the only copy there is;
     ``_pool[_at[i]:_at[i] + _len[i]]``, the positions it held at birth or
     at the pool's last rebuild, ascending, which hold all it has now, as
-    an id's positions only leave it.  Ids below ``size`` have been used.  A
-    greedy occurrence is any live one, but for a self-overlapping id: one
-    rule, ``_greedy``, gives those sites and the counts ``_settle`` redoes.
+    an id's positions only leave it.  Also the scorer's ``part``, ``k``
+    and ``gl``; ``_settle`` sets a freed id's part to inf and its k to 0.
+    Ids below ``size`` have been used.  A greedy occurrence is any live
+    one, but for a self-overlapping id: one rule, ``_greedy``, gives those
+    sites and the counts ``_settle`` redoes.
     """
 
     def __init__(self, seq: TokenSequence, n_max: int = 2) -> None:
@@ -189,6 +191,9 @@ class CandidateIndex:
         self.mult = np.zeros((n_max, 1024), np.int8)
         self._at = np.zeros(1024, np.int64)
         self._len = np.zeros(1024, np.int64)
+        self.part = np.zeros(1024, np.float64)
+        self.k = np.zeros(1024, np.int64)
+        self.gl = np.zeros(1024, np.float64)
         self._free = self._freed = self._born = np.zeros(0, np.int64)
         live = np.flatnonzero(seq.tok >= 0)
         self._pool = np.empty(int(_POOL_SLACK * len(live) * len(self.orders)),
@@ -211,7 +216,7 @@ class CandidateIndex:
         grow = (1 << (top - 1).bit_length()) - len(self.m)
         if grow > 0:  # every column alike, to a power-of-2 capacity
             for name in ("m", "_overlaps", "order", "comp", "mult", "_at",
-                         "_len"):
+                         "_len", "part", "k", "gl"):
                 col = getattr(self, name)
                 setattr(self, name, np.pad(
                     col, [(0, 0)] * (col.ndim - 1) + [(0, grow)]))
@@ -234,7 +239,7 @@ class CandidateIndex:
         each id born its positions' slice of the pool, ascending; returns
         the ids born, per order."""
         tok, nxt = self.seq.tok, self.seq.nxt
-        w = (self.seq.n_ids - 1).bit_length()
+        w = (len(self.seq.counts) - 1).bit_length()
         met = []
         for n, pos in zip(self.orders, reach):
             q = pos
@@ -339,7 +344,7 @@ class CandidateIndex:
     def _settle(self, met: list[np.ndarray]) -> None:
         """Recount the self-overlapping ids met, whose position counts are
         not greedy counts, in one ``_greedy`` call per order; free every id
-        met left at 0."""
+        met left at 0, its score turning inf and its k 0."""
         ids = distinct(np.concatenate(met))
         over = ids[self._overlaps[ids]]
         for n in distinct(self.order[over]).tolist() if len(over) else ():
@@ -348,6 +353,8 @@ class CandidateIndex:
             np.add.at(self.m, self._greedy(n, mine)[1], 1)
         dead = ids[self.m[ids] == 0]
         self.order[dead] = 0
+        self.part[dead] = np.inf
+        self.k[dead] = 0
         self._free = np.concatenate((self._free, dead))
         self._freed = np.concatenate((self._freed, dead))
 
@@ -368,8 +375,8 @@ class CandidateIndex:
         t = self.tuple_of(i)
         seq = self.seq
         sites = self._sites(i)
-        fresh = seq.new_token(sum(seq.lengths[w] for w in t))
-        lex.define(t, "".join(lex.entries[w].surface for w in t))
+        fresh = lex.define(t, "".join(lex.entries[w].surface for w in t))
+        seq.new_token(fresh, sum(seq.lengths[w] for w in t))
         reach, near, q = [], sites.ravel(), sites[:, 0]
         for _ in self.orders:  # the order-n positions add the (n-1)-th left
             q = seq.prv[q]

@@ -313,13 +313,13 @@ def apply_compression(seq, lex, s, fresh_id=None):
     if not sites:
         raise ValueError(f"candidate {s} does not occur")
     if fresh_id is None:
-        fresh_id = seq.n_ids
-    elif fresh_id != seq.n_ids:
+        fresh_id = len(lex.entries)
+    elif fresh_id != len(lex.entries):
         raise ValueError("fresh_id must be the next dense token id")
     old_counts = {w: seq.counts[w] for w in set(s)}
     old_total = seq.total
-    seq.new_token(sum(seq.lengths[w] for w in s))
-    lex.define(s, "".join(lex.entries[w].surface for w in s))
+    assert lex.define(s, "".join(lex.entries[w].surface for w in s)) == fresh_id
+    seq.new_token(fresh_id, sum(seq.lengths[w] for w in s))
     for site in sites:
         seq.merge(np.array([site]), fresh_id)
     changes = {w: (old_counts[w], seq.counts[w]) for w in set(s)}
@@ -433,7 +433,9 @@ def verify_index(index):
     it, and that its columns (order, zero-padded tokens, multiplicity of
     each distinct token at its first slot, self-overlap) match the tuple,
     and that its slice of the occurrence pool holds its live positions,
-    strictly ascending, so that reading them in order needs no sort."""
+    strictly ascending, so that reading them in order needs no sort; that
+    the scorer's columns are as long as ``m``, and a free id below
+    ``size`` reads score part inf and k 0."""
     seq = index.seq
     tok, nxt = seq.tok.tolist(), seq.nxt.tolist()
     live = {p for block in walk(seq) for p in block}
@@ -452,6 +454,9 @@ def verify_index(index):
     tuples = {i: index.tuple_of(i) for i in range(index.size)}
     ids = [i for i, t in tuples.items() if t is not None]
     assert set(ids) == named
+    assert len(index.part) == len(index.k) == len(index.gl) == len(index.m)
+    free = [i for i, t in tuples.items() if t is None]
+    assert (index.part[free] == np.inf).all() and not index.k[free].any()
     assert len({tuples[i] for i in ids}) == len(ids)
     pad = [0] * index.n_max
     for i in ids:
@@ -508,7 +513,9 @@ def expand(lex, tid):
 
 
 def verify_sequence(seq, lex, corpus=None):
-    """Assert maintained statistics against a from-scratch recount."""
+    """Assert maintained statistics against a from-scratch recount, and
+    that every token column is as long as ``counts``, with 0 past the ids
+    the lexicon defined."""
     recount = Counter()
     total = 0
     tok = seq.tok.tolist()
@@ -518,6 +525,9 @@ def verify_sequence(seq, lex, corpus=None):
             recount[tok[p]] += 1
             total += 1
     assert total == seq.total, (total, seq.total)
+    assert len(seq.counts) == len(seq.lengths) == len(seq.changed)
+    used = len(lex.entries)
+    assert not seq.counts[used:].any() and not seq.lengths[used:].any()
     for tid, c in enumerate(seq.counts):
         assert recount.get(tid, 0) == c, (tid, recount.get(tid, 0), c)
     conserved = sum(c * seq.lengths[t] for t, c in enumerate(seq.counts))

@@ -76,6 +76,16 @@ def test_misaligned_lines_are_one_line_error(tmp_path, capsys, command, hyp):
     assert not (tmp_path / "v.txt").exists()
 
 
+def test_all_punctuation_corpus_is_one_line_error(tmp_path, capsys):
+    p = tmp_path / "punct.txt"
+    p.write_text("，。\n。\n", encoding="utf-8")
+    assert main(["segment", str(p), "--format", "sighan", "--punct-set",
+                 "，。", "--out", str(tmp_path / "seg.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(p) in err[0], err
+    assert "entirely punctuation" in err[0], err
+
+
 def test_unknown_flag_exits_2(corpus_file):
     with pytest.raises(SystemExit) as exc:
         main(["segment", str(corpus_file), "--frobnicate"])

@@ -72,6 +72,14 @@ def test_empty_file_rejected(tmp_path):
         load_gold(p, "brent")
 
 
+def test_all_punctuation_names_the_file(tmp_path):
+    p = tmp_path / "punct.txt"
+    p.write_text("，。\n。\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="entirely punctuation") as got:
+        load_gold(p, "sighan", hard_punct=set("，。"))
+    assert str(got.value).startswith(f"{p}: ")
+
+
 def test_bad_encoding_reports_line(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"ok line\nbad \xff\xfe line\n")

@@ -250,8 +250,8 @@ def test_in_bits():
 def merge_at(seq, lex, positions):
     """Merge the tokens at ``positions`` into a new token at this one site."""
     parts = tuple(seq.tok[positions].tolist())
-    fresh = seq.new_token(sum(seq.lengths[w] for w in parts))
-    lex.define(parts, "".join(lex.surface(w) for w in parts))
+    fresh = lex.define(parts, "".join(lex.surface(w) for w in parts))
+    seq.new_token(fresh, sum(seq.lengths[w] for w in parts))
     seq.merge(np.array([positions]), fresh)
 
 

@@ -351,8 +351,9 @@ def test_trace_criteria_mode_carries_scores(toy_corpus):
         assert rec.token_f is not None
 
 
-def test_final_state_takes_its_live_words_once(monkeypatch):
-    # the closing criteria record and the exported hypothesis share them
+def counted_criteria_run(monkeypatch, interval):
+    """A criteria-traced run stopped at 30, and the live-token count of
+    each state that ``learner.live_words`` was called on."""
     import incseg.learner as learner_mod
     corpus, gold = make_corpus(toy_text(80, seed=8))
     calls = []
@@ -363,11 +364,26 @@ def test_final_state_takes_its_live_words_once(monkeypatch):
 
     monkeypatch.setattr(learner_mod, "live_words", counted)
     result = run(corpus, PenaltyParams(),
-                 LearnerOptions(stop_at=30, trace_interval=1000,
+                 LearnerOptions(stop_at=30, trace_interval=interval,
                                 trace_mode="criteria"), gold=gold)
+    return result, calls
+
+
+def test_final_state_takes_its_live_words_once(monkeypatch):
+    # the closing criteria record and the exported hypothesis share them
+    result, calls = counted_criteria_run(monkeypatch, 1000)
     assert result.iterations == 30 and len(result.trace) == 1
     assert result.trace[0].criteria is not None
     assert calls == [result.trace[0].n_tokens]
+
+
+def test_run_ending_on_the_interval_takes_final_words_once(monkeypatch):
+    # the last in-loop record is of the final state, so the export reuses
+    # its words: one call per distinct state
+    result, calls = counted_criteria_run(monkeypatch, 10)
+    assert [rec.iteration for rec in result.trace] == [10, 20, 30]
+    assert all(rec.criteria is not None for rec in result.trace)
+    assert calls == [rec.n_tokens for rec in result.trace]
 
 
 def test_trace_snapshots_are_int64_arrays_written_as_ints(tmp_path):
@@ -562,7 +578,7 @@ def test_beta_zero_state_never_fills_the_beta_column(kind):
         # each merge still flushes the index's births and frees
         assert len(state.index.consume_dirty()[1]) == 0
     assert state.iteration > 10
-    assert state._g is None and len(state._gl) == 0
+    assert state._g is None and not state.index.gl.any()
 
 
 @pytest.mark.parametrize("kind", PENALTY_KINDS)

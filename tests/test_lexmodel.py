@@ -370,8 +370,8 @@ def test_spare_token_slots_reach_no_reading(tmp_path):
     path.write_text(text, encoding="utf-8")
     corpus, _ = make_corpus(text)
     params = PenaltyParams(0.1, 0.2)
-    seq = run(corpus, params, LearnerOptions(n_max=3)).hypothesis.seq
-    used = seq.n_ids
+    hyp = run(corpus, params, LearnerOptions(n_max=3)).hypothesis
+    seq, used = hyp.seq, len(hyp.lexicon.entries)
     assert used < len(seq.counts) == len(seq.lengths)
     assert not seq.counts[used:].any() and not seq.lengths[used:].any()
     cut = dataclasses.replace(seq, counts=seq.counts[:used],
