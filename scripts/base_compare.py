@@ -35,7 +35,7 @@ def cases(src: str) -> None:
     from incseg.corpus import default_punctuation, load_gold
     if Path(cli.__file__).parents[1] != Path(src):
         raise SystemExit(f"incseg imported from {cli.__file__}, not {src}")
-    Path("fixtures").mkdir()  # the CLI smoke tests' corpora and a PKU-shaped one
+    Path("fixtures").mkdir()  # the CLI tests' corpora and a PKU-shaped one
     build_corpus(Path("fixtures/toy.txt"), 200, 40, 99)
     build_pku_corpus(Path("fixtures/pku.txt"), 2000, 99)
     for name, text in (("runs", RUNS * 20), ("punct", "ab，cd ef。\n\n！！\ngh ij\n"),
@@ -52,32 +52,52 @@ def cases(src: str) -> None:
             fields.update(gold_n_chars=gold.n_chars, boundaries=gold.boundaries)
             print(json.dumps({k: [str(v.dtype), v.tolist()] if hasattr(v, "dtype") else v
                               for k, v in fields.items()}), file=fh)
-    commands = []
+    commands = {}  # each command by the name of the log its stdout goes to
     for c, n in (("toy", 2), ("runs", 3)):
         seg = f"segment fixtures/{c}.txt --out"
-        commands += [f"{seg} {o}.txt {flags} --trace-out {o}.jsonl"
-                     for o, flags in uncapped(c).items()] + [
-            f"{seg} {c}.txt --trace-out {c}.jsonl --trace-snapshots --trace-every 7",
+        commands.update({o: f"{seg} {o}.txt {flags} --trace-out {o}.jsonl"
+                         for o, flags in uncapped(c).items()})
+        commands.update({
+            c: f"{seg} {c}.txt --trace-out {c}.jsonl --trace-snapshots --trace-every 7",
             # a run that stops on the trace interval: its last record is the loop's
-            f"{seg} {c}-at21.txt --trace-out {c}-at21.jsonl --trace-snapshots "
-            "--trace-every 7 --stop-at 21",
-            *(f"dump-lexicon fixtures/{c}.txt --out lexicon-{c}-n{m}.json --nmax {m}"
-              for m in (2, 4)),
-            f"grid fixtures/{c}.txt --out grid-{c} --nmax {n} --alpha 0:0.2:0.1 "
-            "--beta 0:0.2:0.1 --penalty xlogx x2 --trace --trace-every 5 --jobs 2"]
-    for argv in map(str.split, commands):
-        with open(f"{argv[3]}.log", "w", encoding="utf-8") as fh:
+            f"{c}-at21": f"{seg} {c}-at21.txt --trace-out {c}-at21.jsonl "
+                         "--trace-snapshots --trace-every 7 --stop-at 21",
+            **{f"lexicon-{c}-n{m}": f"dump-lexicon fixtures/{c}.txt "
+               f"--out lexicon-{c}-n{m}.json --nmax {m}" for m in (2, 4)},
+            f"grid-{c}": f"grid fixtures/{c}.txt --out grid-{c} --nmax {n} "
+                         "--alpha 0:0.2:0.1 --beta 0:0.2:0.1 --penalty xlogx x2 "
+                         "--trace --trace-every 5 --jobs 2"})
+    grid, zh = "--ledger grid-toy", "--format sighan --punct-set ，"
+    commands.update({  # every other command, on the outputs above
+        "select-toy": f"select {grid} --criterion mdl2 --top 2 --out select-toy.json",
+        "heat-toy": f"heatmap {grid} --quantity mdl2 --out heat-toy.csv",
+        "heat-toy-log": f"heatmap {grid} --quantity mdl2 --log --out heat-toy-log.csv",
+        "correlate-toy": f"correlate {grid} --population trace --scatter-out scatter-toy",
+        "vote-toy": "ensemble --inputs toy-n2-0.txt toy-n4-0.1.txt --out vote-toy.txt",
+        "eval-toy-json": "eval --hyp vote-toy.txt --gold fixtures/toy.txt --report json",
+        "eval-toy-tsv": "eval --hyp toy-n4-0.1.txt --gold fixtures/toy.txt --report tsv",
+        "staged-toy": "staged fixtures/toy.txt --out staged-toy --alpha 0:0.2:0.2 "
+                      "--beta 0:0.2:0.2",
+        "zh": f"segment fixtures/zh.txt --out zh.txt {zh}",
+        "vote-zh": f"ensemble --inputs zh.txt fixtures/zh.txt fixtures/zh.txt {zh} "
+                   "--out vote-zh.txt",
+        "eval-zh": f"eval --hyp vote-zh.txt --gold fixtures/zh.txt {zh} --report tsv"})
+    for name, command in commands.items():
+        with open(f"{name}.log", "w", encoding="utf-8") as fh:
             with contextlib.redirect_stdout(fh):
-                if cli.main(argv) != 0:
-                    raise SystemExit(f"incseg {' '.join(argv)} failed")
+                if cli.main(command.split()) != 0:
+                    raise SystemExit(f"incseg {command} failed")
 
 
 def read(path: Path) -> bytes:
-    """A file's bytes; a ledger's rows sorted and without ``wall_time``."""
-    if path.name != "runs.jsonl":
-        return path.read_bytes()
-    rows = ({**json.loads(line), "wall_time": 0} for line in path.read_bytes().splitlines())
-    return b"\n".join(sorted(json.dumps(r, sort_keys=True).encode() for r in rows))
+    """A file's bytes; a ledger's rows sorted and without ``wall_time``, and a
+    scatter file's rows sorted, as both come in the order a grid's cells end in."""
+    if path.name == "runs.jsonl":
+        rows = ({**json.loads(line), "wall_time": 0} for line in path.read_bytes().splitlines())
+        return b"\n".join(sorted(json.dumps(r, sort_keys=True).encode() for r in rows))
+    if path.parent.name.startswith("scatter"):
+        return b"\n".join(sorted(path.read_bytes().splitlines()))
+    return path.read_bytes()
 
 
 def compare(a: Path, b: Path) -> list[str]:
@@ -106,13 +126,18 @@ def check(base: Path, head: Path, work: Path) -> list[str]:
                        cwd=work / name, env=env, check=True)
     out, found = work / "head", compare(work / "base", work / "head")
     rows = [len(read(out / p).splitlines()) for p in (
-        "parse.jsonl", "grid-toy/runs.jsonl", "grid-runs/runs.jsonl")]
+        "parse.jsonl", "grid-toy/runs.jsonl", "grid-runs/runs.jsonl", "staged-toy/runs.jsonl")]
     least = {"toy.snap*.json": 2, "runs.snap*.json": 2, "toy-at21.snap*.json": 3,
              "runs-at21.snap*.json": 3, "lexicon-*-n?.json": 4, **{
         f"grid-{c}/{sub}/*": 1 for c in ("toy", "runs") for sub in ("traces", "boundaries")},
-        **{f"{o}.jsonl": 1 for c in ("toy", "runs") for o in uncapped(c)}}
-    if rows != [6, 18, 18] or any(len([*out.glob(p)]) < k for p, k in least.items()):
-        found.append(f"too little compared: {rows} lines, or fewer files than {least}")
+        **{f"{o}.jsonl": 1 for c in ("toy", "runs") for o in uncapped(c)},
+        "select-toy.json": 1, "heat-toy*.csv": 2, "scatter-toy/*.csv": 6, "vote-*.txt": 2,
+        "staged-toy/boundaries/*": 1, **{f"{name}.log": 1 for name in (
+            "select-toy", "correlate-toy", "staged-toy", "eval-toy-json", "eval-toy-tsv",
+            "eval-zh")}}
+    if rows != [6, 18, 18, 4] or any(sum(p.stat().st_size > 0 for p in out.glob(pattern)) < k
+                                     for pattern, k in least.items()):
+        found.append(f"too little compared: {rows} lines, or fewer non-empty files than {least}")
     return found
 
 

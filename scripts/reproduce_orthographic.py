@@ -46,8 +46,7 @@ def main() -> None:
         final, _ = staged_search(
             corpus, gold, "mdl2", parse_range(args.alpha_range),
             parse_range(args.beta_range), out / "search",
-            beta0=args.beta0, kind="xlogx",
-            options=LearnerOptions(trace_mode="none"), jobs=args.jobs)
+            beta0=args.beta0, kind="xlogx", jobs=args.jobs)
         alpha, beta = final.alpha, final.beta
         print(f"search picked (alpha, beta) = ({alpha}, {beta})")
 

@@ -70,8 +70,7 @@ def main() -> None:
         t0 = time.time()
         records = run_grid(
             corpus, gold, GridSpec(alphas, betas, (kind,)),
-            out / kind, options=LearnerOptions(trace_mode="none"),
-            jobs=args.jobs, trace=True)
+            out / kind, jobs=args.jobs, trace=True)
         print(f"grid done in {time.time() - t0:.0f}s")
         print(header)
         for crit in CRITERIA:

@@ -67,18 +67,26 @@ def _add_learner_flags(p: argparse.ArgumentParser, with_penalty: bool,
                    help="stop as soon as an improving candidate exists")
 
 
-def _hard_punct(punct_set: str | None, punct_hard: bool):
-    """The characters whose runs are hard boundaries, for every command:
-    those of ``--punct-set``, else with ``--punct-hard`` the Unicode P*
-    characters of the text being loaded, else none."""
-    if punct_set is not None:
-        return set(punct_set)
-    return default_punctuation if punct_hard else None
-
-
-def _load_corpus(ns: argparse.Namespace):
-    return load_gold(ns.corpus, ns.format,
-                     hard_punct=_hard_punct(ns.punct_set, ns.punct_hard))
+def _load(ns: argparse.Namespace, paths: list[str]):
+    """The first file's corpus and each file's gold segmentation, every file
+    cut with the first file's hard punctuation: the characters of
+    ``--punct-set``, else with ``--punct-hard`` the Unicode P* characters of
+    the first file's text, else none.  A file whose characters or block
+    edges differ from the first file's is refused."""
+    punct = (set(ns.punct_set) if ns.punct_set is not None
+             else default_punctuation if getattr(ns, "punct_hard", False)
+             else None)
+    base, gold = load_gold(paths[0], ns.format, hard_punct=punct)
+    if callable(punct):  # --punct-hard: the first file's P* characters
+        punct = punct("".join(base.chars))
+    golds, want = [gold], (base.char_string(), base.offsets.tolist())
+    for path in paths[1:]:
+        corpus, gold = load_gold(path, ns.format, hard_punct=punct)
+        if (corpus.char_string(), corpus.offsets.tolist()) != want:
+            raise RuntimeError(
+                f"{path}: characters or lines differ from {paths[0]}")
+        golds.append(gold)
+    return base, golds
 
 
 def _learner_options(ns: argparse.Namespace, **tracing) -> LearnerOptions:
@@ -116,7 +124,7 @@ def _write_manifest(target: Path, ns: argparse.Namespace,
 
 
 def _cmd_segment(ns: argparse.Namespace) -> int:
-    corpus, gold = _load_corpus(ns)
+    corpus, (gold,) = _load(ns, [ns.corpus])
     options = _learner_options(
         ns, trace_interval=ns.trace_every,
         trace_mode="light" if ns.trace_out else "none",
@@ -132,7 +140,7 @@ def _cmd_segment(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dump_lexicon(ns: argparse.Namespace) -> int:
-    corpus, _ = _load_corpus(ns)
+    corpus, _ = _load(ns, [ns.corpus])
     result = _learner.run(corpus, _params(ns),
                           _learner_options(ns, trace_mode="none"))
     seq, lex = result.hypothesis.seq, result.hypothesis.lexicon
@@ -151,7 +159,7 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
     kinds = tuple(_PENALTY_NAMES[k] for k in ns.penalty)
     spec = _search.GridSpec(_search.parse_range(ns.alpha),
                             _search.parse_range(ns.beta), kinds)
-    corpus, gold = _load_corpus(ns)
+    corpus, (gold,) = _load(ns, [ns.corpus])
     options = _learner_options(ns, trace_interval=ns.trace_every)
     records = _search.run_grid(corpus, gold, spec, ns.out, options=options,
                                jobs=ns.jobs, trace=ns.trace)
@@ -166,7 +174,7 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
 
 
 def _cmd_staged(ns: argparse.Namespace) -> int:
-    corpus, gold = _load_corpus(ns)
+    corpus, (gold,) = _load(ns, [ns.corpus])
     options = _learner_options(ns)
     final, _records = _search.staged_search(
         corpus, gold, ns.criterion, _search.parse_range(ns.alpha),
@@ -198,26 +206,8 @@ def _cmd_select(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_aligned(paths: list[str], fmt: str, punct):
-    """The first file's corpus and each file's boundaries, every file cut
-    with the first file's hard punctuation.  A file whose characters or
-    block edges differ from the first file's is refused."""
-    base, gold = load_gold(paths[0], fmt, hard_punct=punct)
-    if callable(punct):  # --punct-hard: the first file's P* characters
-        punct = punct("".join(base.chars))
-    golds, want = [gold], (base.char_string(), base.offsets.tolist())
-    for path in paths[1:]:
-        corpus, gold = load_gold(path, fmt, hard_punct=punct)
-        if (corpus.char_string(), corpus.offsets.tolist()) != want:
-            raise RuntimeError(
-                f"{path}: characters or lines differ from {paths[0]}")
-        golds.append(gold)
-    return base, golds
-
-
 def _cmd_ensemble(ns: argparse.Namespace) -> int:
-    base, golds = _load_aligned(ns.inputs, ns.format,
-                                _hard_punct(ns.punct_set, False))
+    base, golds = _load(ns, ns.inputs)
     voted = _ensemble.majority_vote([g.boundaries for g in golds],
                                     base.block_edges(), base.n_chars)
     write_segmentation(voted, base, ns.out)
@@ -227,8 +217,7 @@ def _cmd_ensemble(ns: argparse.Namespace) -> int:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    corpus, (gold, hyp) = _load_aligned(
-        [ns.gold, ns.hyp], ns.format, _hard_punct(ns.punct_set, ns.punct_hard))
+    corpus, (gold, hyp) = _load(ns, [ns.gold, ns.hyp])
     report = _metrics.evaluate_segmentation(corpus, gold, hyp.boundaries)
     if ns.report == "json":
         print(json.dumps(report.as_dict(), indent=1))

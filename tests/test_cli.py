@@ -7,7 +7,7 @@ import pytest
 
 from incseg.cli import main
 
-from conftest import toy_text
+from conftest import synthetic, toy_text
 
 
 @pytest.fixture
@@ -185,6 +185,28 @@ def test_dump_lexicon(corpus_file, tmp_path):
     assert any(r["components"] for r in rows)
 
 
+@pytest.mark.parametrize("name", ["toy", "runs"])
+def test_nmax_4_segment_dump_lexicon_and_eval(tmp_path, capsys, name):
+    """Orders 3 and 4 on the demo's corpus and on runs of self-overlapping
+    n-grams; the lexicon dump loads as plain JSON."""
+    corpus = tmp_path / f"{name}.txt"
+    if name == "toy":
+        synthetic().build_corpus(corpus, 200, 40, 99)
+    else:
+        corpus.write_text(20 * "aaaa abab\naab cdcd ccc aaaa\nbababa aabaab\n"
+                          "aaaaaa dcdc abab\nccc aab aaaa\n", encoding="utf-8")
+    seg, lex = tmp_path / "seg.txt", tmp_path / "lex.json"
+    assert main(["segment", str(corpus), "--nmax", "4", "--stop-at", "50",
+                 "--out", str(seg)]) == 0
+    assert main(["dump-lexicon", str(corpus), "--nmax", "4",
+                 "--out", str(lex)]) == 0
+    assert json.loads(lex.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert main(["eval", "--hyp", str(seg), "--gold", str(corpus),
+                 "--report", "tsv"]) == 0
+    assert capsys.readouterr().out.startswith("level\tP\tR\tF\n")
+
+
 def test_config_file_defaults(corpus_file, tmp_path):
     cfg = tmp_path / "incseg.cfg"
     cfg.write_text("# learner\nalpha = 0.2\n\n  \nbeta = 0.3\n  # cap\n"
@@ -246,6 +268,17 @@ def test_ensemble_sidecar_holds_the_vote(corpus_file, tmp_path, capsys):
     want = sorted(majority_vote(sets, corpus.block_edges(), corpus.n_chars))
     assert meta["boundaries"] == want
     assert load_gold(out, "brent")[1].boundaries.tolist() == want
+
+
+def test_ensemble_of_one_file_keeps_its_bytes(tmp_path):
+    """Hard punctuation, a blank line and a punctuation-only line come back
+    as they were."""
+    text = tmp_path / "punct.txt"
+    text.write_text("ab，cd ef。\n\n！！\ngh ij\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["ensemble", "--inputs", str(text), "--punct-set", "，。！",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == text.read_bytes()
 
 
 def test_segment_trace_output(corpus_file, tmp_path):
@@ -334,6 +367,8 @@ def test_config_multi_value_and_switch(corpus_file, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["flags"]["penalty"] == ["xlogx", "x2"]
     assert manifest["flags"]["trace"] is True
+    assert [manifest["flags"][k] for k in ("alpha", "beta", "stop_at")] == [
+        "0.2", "0.2", 4]  # grid's alpha and beta are ranges
     ledger = [json.loads(l) for l in (out / "runs.jsonl").read_text()
               .splitlines()]
     assert sorted(r["penalty"] for r in ledger) == ["xlogx", "xsquared"]
@@ -584,6 +619,30 @@ def test_grid_resume_over_another_corpus_is_one_line_error(corpus_file,
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "corpus_sha256" in err[0], err
         assert {f: (grid / f).read_bytes() for f in kept} == kept
+
+
+def test_grid_rerun_keeps_the_ledger_and_a_changed_resume_is_refused(
+        corpus_file, tmp_path, capsys):
+    grid = tmp_path / "grid"
+    argv = ["grid", str(corpus_file), "--alpha", "0:0.2:0.2", "--beta",
+            "0:0.2:0.2", "--trace", "--jobs", "2", "--out", str(grid)]
+    assert main(argv) == 0
+    ledger = (grid / "runs.jsonl").read_bytes()
+    assert main(argv) == 0  # a rerun into the same --out resumes
+    assert (grid / "runs.jsonl").read_bytes() == ledger
+
+    def refused(named):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert (grid / "runs.jsonl").read_bytes() == ledger
+
+    capsys.readouterr()
+    assert main([*argv, "--stop-at", "5"]) == 1  # another learner option
+    refused("stop_at None, not 5")
+    (grid / "identity.json").unlink()
+    assert main(argv) == 1
+    refused("n_max unrecorded, not 2")
+    assert not (grid / "identity.json").exists()
 
 
 def test_punct_hard_reads_each_file_once(tmp_path, capsys, monkeypatch):

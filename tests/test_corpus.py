@@ -2,17 +2,18 @@
 
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from incseg.corpus import (CorpusError, default_punctuation, dense,
-                           distinct, group, load_gold, runs,
+from incseg.corpus import (CorpusError, RawCorpus, default_punctuation,
+                           dense, distinct, group, load_gold, runs,
                            write_segmentation)
 
-from conftest import make_corpus
+from conftest import make_corpus, toy_text
 from oracles import reference_parse, reference_render
 
 
@@ -92,6 +93,26 @@ def test_unknown_format(tmp_path):
     p.write_text("a b\n")
     with pytest.raises(CorpusError):
         load_gold(p, "nonesuch")
+
+
+@pytest.mark.parametrize("text, punct", [
+    (toy_text(60, seed=5), None),
+    ("今天 天气 好 ， 我们 出去 玩 。\n好 的 ！\n", {"，"}),
+    ("ab，cd ef。\n\n！！\ngh ij\n", {*"，。！"}),
+])
+def test_format_is_only_a_label(tmp_path, text, punct):
+    """brent and sighan parse a file alike; the label is only recorded."""
+    path = tmp_path / "c.txt"
+    path.write_text(text, encoding="utf-8")
+
+    def parsed(fmt):
+        corpus, gold = load_gold(path, fmt, hard_punct=punct)
+        values = [getattr(corpus, f.name) for f in fields(RawCorpus)]
+        values += [gold.boundaries, gold.n_chars]
+        return [(str(v.dtype), v.tolist()) if isinstance(v, np.ndarray) else v
+                for v in values]
+
+    assert parsed("brent") == parsed("sighan")
 
 
 def test_hard_boundaries_cjk_comma(tmp_path):
